@@ -24,6 +24,9 @@ def _read_idx_header(data: bytes, path, expected_magic: int, n_dims: int):
         raise FormatError(
             f"{path}: bad magic 0x{fields[0]:08x} at offset 0, expected 0x{expected_magic:08x}"
         )
+    for i, value in enumerate(fields[1:], start=1):
+        if value < 0:
+            raise FormatError(f"{path}: negative header field {value} at offset {4 * i}")
     return fields[1:], need
 
 

@@ -125,6 +125,16 @@ class Hyperparameters:
         return cls(**d)
 
 
+def _is_binary(rows: np.ndarray) -> bool:
+    """Same verdict as np.isin(rows, (0, 1)).all(), in one pass where the dtype allows."""
+    kind = rows.dtype.kind
+    if kind == "b":
+        return True
+    if kind == "u":
+        return bool(rows.max() <= 1)
+    return bool(np.isin(rows, (0, 1)).all())
+
+
 @dataclass
 class BinaryBatch:
     """A set of binary row vectors with optional per-row integer labels."""
@@ -136,7 +146,7 @@ class BinaryBatch:
         rows = np.asarray(self.rows)
         if rows.ndim != 2:
             raise DimensionError(f"rows must be 2-d, got shape {rows.shape}")
-        if rows.size and not np.isin(rows, (0, 1)).all():
+        if rows.size and not _is_binary(rows):
             raise DomainError("batch entries must be exactly 0 or 1")
         self.rows = rows.astype(np.uint8, copy=False)
         if self.labels is not None:
@@ -275,6 +285,7 @@ def gibbs_from_hidden(params: RbmParameters, h_init, n_steps: int, rng: np.rando
 #   L bytes      UTF-8 JSON: {"hyperparameters": {...}, ...extra keys}
 _MAGIC = b"RBMF"
 _VERSION = 1
+_HEADER_BYTES = 16  # magic, version, n_v, n_h
 
 
 def save_model(path, params: RbmParameters, hyper: Optional[Hyperparameters] = None,
@@ -300,10 +311,12 @@ def load_model(path):
         data = f.read()
     if data[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r} at offset 0")
+    if len(data) < _HEADER_BYTES:
+        raise FormatError(f"{path}: truncated header at offset {len(data)}, need {_HEADER_BYTES}")
     version, n_v, n_h = struct.unpack_from("<III", data, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
-    off = 16
+    off = _HEADER_BYTES
     need = 8 * (n_h * n_v + n_v + n_h)
     if len(data) < off + need + 4:
         raise FormatError(f"{path}: truncated at offset {len(data)}, need {off + need + 4}")

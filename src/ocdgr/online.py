@@ -8,13 +8,12 @@ states, the er variants draw it from a buffer of past observations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .model import BinaryBatch, Hyperparameters, RbmParameters, sample_bernoulli, visible_probs, hidden_probs
 from .training import UpdateState, cd_update_epochs
 
@@ -42,42 +41,88 @@ def generate_replay(params: RbmParameters, n_samples: int, n_gibbs: int,
 
 
 class ReplayMemory:
-    """FIFO store of past observations; capacity None means unbounded."""
+    """FIFO store of past observations; capacity None means unbounded.
+
+    Rows live in one preallocated uint8 ring buffer: the oldest row sits at
+    slot ``_start`` and the rest follow it cyclically. A bounded memory
+    allocates ``capacity`` slots on its first insert and overwrites its
+    oldest rows once full; an unbounded one doubles its array as it grows.
+    A draw gathers only the chosen rows, so it costs O(replay_size), not
+    O(rows held).
+    """
 
     def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise DomainError("capacity must be positive or None")
         self.capacity = capacity
-        self._buffer = deque(maxlen=capacity)
+        self._slots: Optional[np.ndarray] = None  # (slots, n_v), allocated on first insert
+        self._start = 0
+        self._len = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._len
 
     def insert(self, row: np.ndarray) -> None:
-        self._buffer.append(np.asarray(row, dtype=np.uint8))
+        row = np.asarray(row, dtype=np.uint8)
+        if row.ndim != 1:
+            raise DimensionError(f"a stored row must be 1-d, got shape {row.shape}")
+        self._write(row[None, :])
 
     def insert_batch(self, batch: BinaryBatch) -> None:
-        for row in batch.rows:
-            self.insert(row)
+        self._write(batch.rows)
+
+    def _write(self, rows: np.ndarray) -> None:
+        """Append rows oldest first, evicting the oldest stored rows when bounded."""
+        n, n_v = rows.shape
+        if n == 0:
+            return
+        if self.capacity is not None and n > self.capacity:
+            rows, n = rows[-self.capacity:], self.capacity
+        if self._slots is None:
+            size = self.capacity if self.capacity is not None else n
+            self._slots = np.empty((size, n_v), dtype=np.uint8)
+        elif n_v != self._slots.shape[1]:
+            raise DimensionError(f"row width {n_v} does not match the stored width "
+                                 f"{self._slots.shape[1]}")
+        if self.capacity is None and self._len + n > len(self._slots):
+            grown = np.empty((max(2 * len(self._slots), self._len + n), n_v), dtype=np.uint8)
+            grown[:self._len] = self.rows()
+            self._slots, self._start = grown, 0
+        size = len(self._slots)
+        evicted = max(0, self._len + n - size)
+        self._start = (self._start + evicted) % size
+        self._len -= evicted
+        end = (self._start + self._len) % size
+        head = min(n, size - end)  # rows that fit before the ring wraps
+        self._slots[end:end + head] = rows[:head]
+        self._slots[:n - head] = rows[head:]
+        self._len += n
+
+    def _slot_of(self, logical: np.ndarray) -> np.ndarray:
+        return (self._start + logical) % len(self._slots)
 
     def rows(self) -> np.ndarray:
-        return np.array(list(self._buffer), dtype=np.uint8)
+        """Copy of the stored rows, oldest first (a 1-d empty array before any insert)."""
+        if self._slots is None:
+            return np.empty(0, dtype=np.uint8)
+        return self._slots[self._slot_of(np.arange(self._len))]
 
     def sample(self, n: int, rng: np.random.Generator) -> Optional[BinaryBatch]:
-        """Uniform draw without replacement of min(n, len) stored rows."""
-        k = min(n, len(self._buffer))
+        """Uniform draw without replacement of min(n, len) stored rows, as a copy."""
+        k = min(n, self._len)
         if k == 0:
             return None
-        stacked = self.rows()
-        idx = rng.choice(len(stacked), size=k, replace=False)
-        return BinaryBatch(stacked[idx])
+        idx = rng.choice(self._len, size=k, replace=False)
+        return BinaryBatch(self._slots[self._slot_of(idx)])
 
     def scalar_count(self, bit_packed: bool = False) -> int:
-        """Stored scalars, at one scalar per component (or per 64 if bit-packed)."""
-        if not self._buffer:
+        """Stored scalars, at one scalar per component (or per 64 if bit-packed).
+
+        Counts the rows held, not the slots allocated.
+        """
+        if not self._len:
             return 0
-        n_v = self._buffer[0].size
-        total = len(self._buffer) * n_v
+        total = self._len * self._slots.shape[1]
         return -(-total // 64) if bit_packed else total
 
 

@@ -64,6 +64,27 @@ class TestLoadIdx:
         with pytest.raises(FormatError, match="mismatch"):
             load_idx(img, lbl)
 
+    @pytest.mark.parametrize("header, offset", [
+        ((-1, 2, 2), 4),   # count
+        ((2, -2, 2), 8),   # rows
+        ((2, 2, -1), 12),  # cols
+    ])
+    def test_negative_header_field_names_offset(self, tmp_path, header, offset):
+        # the header fields are signed; a negative one must not reach the pixel arithmetic
+        img = tmp_path / "images.idx"
+        lbl = tmp_path / "labels.idx"
+        img.write_bytes(struct.pack(">iiii", 0x803, *header) + bytes(8))
+        lbl.write_bytes(struct.pack(">ii", 0x801, header[0]) + bytes(2))
+        with pytest.raises(FormatError, match=f"negative .* at offset {offset}"):
+            load_idx(img, lbl)
+
+    def test_negative_label_count_names_offset(self, tmp_path):
+        img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8),
+                                  np.zeros(2, dtype=np.uint8))
+        lbl.write_bytes(struct.pack(">ii", 0x801, -1) + bytes(2))
+        with pytest.raises(FormatError, match=f"{lbl.name}: negative .* at offset 4"):
+            load_idx(img, lbl)
+
     @pytest.mark.skipif(mnist_dir() is None, reason="MNIST_DIR not set")
     def test_canonical_train_files(self):
         d = mnist_dir()

@@ -243,6 +243,25 @@ class TestBinaryBatch:
         with pytest.raises(DomainError):
             BinaryBatch(np.array([[0, 2]]))
 
+    @pytest.mark.parametrize("rows", [
+        np.array([[True, False]]),
+        np.array([[0, 2]], dtype=np.uint8),
+        np.array([[1, 256]], dtype=np.uint16),
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([[0, 1], [1, 0]], dtype=np.int64),
+        np.array([[0.0, 0.5]]),
+        np.array([[1.0, np.nan]]),
+        np.zeros((0, 3), dtype=np.uint8),
+    ], ids=["bool", "uint8-2", "uint16-256", "int8-neg1", "int64-01", "float-half", "nan",
+            "empty"])
+    def test_validation_agrees_with_isin(self, rows):
+        accepted = bool(np.isin(rows, (0, 1)).all())
+        if accepted:
+            assert (BinaryBatch(rows).rows == rows).all()
+        else:
+            with pytest.raises(DomainError):
+                BinaryBatch(rows)
+
     def test_label_length_checked(self):
         with pytest.raises(DimensionError):
             BinaryBatch(np.zeros((3, 2), dtype=np.uint8), labels=[1, 2])
@@ -298,6 +317,13 @@ class TestPersistence:
         path = tmp_path / "bad.rbm"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_truncated_header(self, tmp_path):
+        # magic present but the version and dimensions are cut off
+        path = tmp_path / "short.rbm"
+        path.write_bytes(b"RBMF" + b"\x01\x00\x00\x00")
+        with pytest.raises(FormatError, match=f"{path.name}: truncated header at offset 8"):
             load_model(path)
 
     def test_truncated(self, tmp_path):

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocdgr import (
     BinaryBatch,
     ConfigError,
+    DimensionError,
     DomainError,
     Hyperparameters,
     OnlineTrainerState,
@@ -114,6 +117,86 @@ class TestReplayMemory:
         mem.insert_batch(BinaryBatch(np.zeros((7, 100), dtype=np.uint8)))
         assert mem.scalar_count() == 700
         assert mem.scalar_count(bit_packed=True) == -(-700 // 64)
+
+
+    def test_row_width_fixed_by_first_insert(self):
+        mem = ReplayMemory(None)
+        mem.insert(np.zeros(4, dtype=np.uint8))
+        with pytest.raises(DimensionError):
+            mem.insert(np.zeros(5, dtype=np.uint8))
+        with pytest.raises(DimensionError):
+            mem.insert_batch(BinaryBatch(np.zeros((2, 3), dtype=np.uint8)))
+        assert len(mem) == 1
+
+
+class ListMemory:
+    """Reference FIFO memory: a plain list of rows, oldest first, restacked on every draw."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+
+    def insert(self, row):
+        self.items.append(np.asarray(row, dtype=np.uint8))
+        if self.capacity is not None and len(self.items) > self.capacity:
+            del self.items[0]
+
+    def insert_batch(self, batch):
+        for row in batch.rows:
+            self.insert(row)
+
+    def rows(self):
+        return np.array(self.items, dtype=np.uint8)
+
+    def sample(self, n, g):
+        k = min(n, len(self.items))
+        if k == 0:
+            return None
+        stacked = self.rows()
+        return stacked[g.choice(len(stacked), size=k, replace=False)]
+
+    def scalar_count(self, bit_packed=False):
+        total = sum(row.size for row in self.items)
+        return -(-total // 64) if bit_packed else total
+
+
+MEMORY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.just(1)),
+    st.tuples(st.just("insert_batch"), st.integers(0, 30)),  # up to past the largest capacity
+    st.tuples(st.just("sample"), st.integers(0, 30)),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.sampled_from([None, 1, 5, 21]), ops=MEMORY_OPS, seed=st.integers(0, 2**32 - 1))
+def test_replay_memory_matches_list_reference(capacity, ops, seed):
+    n_v = 11  # every row is a distinct counter value, so order and identity are both checked
+    mem, ref = ReplayMemory(capacity), ListMemory(capacity)
+    g_mem, g_ref = rng(seed), rng(seed)
+    counter = 0
+    drawn = []
+    for op, n in ops:
+        if op == "sample":
+            got, want = mem.sample(n, g_mem), ref.sample(n, g_ref)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.rows, want)
+                drawn.append((got, want))
+            continue
+        rows = (np.arange(counter, counter + n)[:, None] >> np.arange(n_v)) & 1
+        counter += n
+        if op == "insert":
+            mem.insert(rows[0])
+            ref.insert(rows[0])
+        else:
+            mem.insert_batch(BinaryBatch(rows))
+            ref.insert_batch(BinaryBatch(rows))
+        assert len(mem) == len(ref.items)
+        assert np.array_equal(mem.rows(), ref.rows())
+        for bit_packed in (False, True):
+            assert mem.scalar_count(bit_packed) == ref.scalar_count(bit_packed)
+    for got, want in drawn:  # nothing inserted later reached a batch already drawn
+        assert np.array_equal(got.rows, want)
 
 
 class TestErMlCapacity:
