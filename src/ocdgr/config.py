@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import numbers
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -52,6 +53,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if not isinstance(self.train_dataset, dict):
             raise ConfigError("train_dataset must be a dataset spec object")
+        if self.test_dataset is not None and not isinstance(self.test_dataset, dict):
+            raise ConfigError("test_dataset must be a dataset spec object")
+        if not isinstance(self.hyperparameters, dict):
+            raise ConfigError("hyperparameters must be an object")
 
     @classmethod
     def from_file(cls, path, overrides: Optional[dict] = None) -> "ExperimentConfig":
@@ -62,6 +67,9 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, "
+                              f"got a {type(raw).__name__}")
         raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
         known = cls.__dataclass_fields__.keys()
         unknown = set(raw) - set(known)
@@ -96,7 +104,32 @@ class ExperimentConfig:
         hp.setdefault("n_v", n_v)
         if "n_h" not in hp:
             raise ConfigError("hyperparameters must set n_h")
+        kinds = {f.name: f.type for f in fields(Hyperparameters)}
+        unknown = set(hp) - set(kinds)
+        if unknown:
+            raise ConfigError(f"unknown hyperparameter keys: {sorted(unknown)}")
+        for key, value in hp.items():
+            _check_kind("hyperparameters", key, value, kinds[key])
         return Hyperparameters(**hp)
+
+
+def _check_kind(where: str, key: str, value, kind: str):
+    """Return value, or raise ConfigError naming key if its JSON type does not fit kind.
+
+    kind is "int", "float" (an int is accepted) or "bool"; JSON booleans are not numbers.
+    """
+    if kind == "bool":
+        ok = isinstance(value, bool)
+    else:
+        allowed = numbers.Integral if kind == "int" else numbers.Real
+        ok = isinstance(value, allowed) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"{where} field {key!r} must be of type {kind}, got {value!r}")
+    return value
+
+
+def _spec_field(spec: dict, key: str, default, kind: str):
+    return _check_kind("dataset spec", key, spec.get(key, default), kind)
 
 
 def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
@@ -105,10 +138,10 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
     if kind == "toy":
         rng = derive_rng(master_seed, f"{role}-toy-data")
         batch = toy_generate(
-            n_per_class=spec.get("n_per_class", 1000),
-            n_classes=spec.get("n_classes", 10),
-            block=spec.get("block", 10),
-            p=spec.get("p", 0.3),
+            n_per_class=_spec_field(spec, "n_per_class", 1000, "int"),
+            n_classes=_spec_field(spec, "n_classes", 10, "int"),
+            block=_spec_field(spec, "block", 10, "int"),
+            p=_spec_field(spec, "p", 0.3, "float"),
             rng=rng,
         )
     elif kind == "idx":
@@ -130,7 +163,8 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     limit = spec.get("limit")
     if limit is not None:
-        batch = batch.take(np.arange(min(int(limit), len(batch))))
+        _check_kind("dataset spec", "limit", limit, "int")
+        batch = batch.take(np.arange(min(limit, len(batch))))
     return batch
 
 

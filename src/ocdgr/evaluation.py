@@ -9,7 +9,7 @@ from typing import Dict, Optional
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .errors import DomainError, EmptyBatchError, InfeasibleSizeError, ScheduleError
+from .errors import DimensionError, DomainError, EmptyBatchError, InfeasibleSizeError, ScheduleError
 from .model import BinaryBatch, RbmParameters, free_energy, hidden_free_energy, sample_bernoulli, softplus
 
 # Largest layer that exact enumeration will attempt (2^25 states).
@@ -170,18 +170,25 @@ def test_log_prob_report(params: RbmParameters, test: BinaryBatch, log_z: float,
     )
 
 
-def _hamming_distances(queries: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    q = queries.astype(np.int32)
-    p = prototypes.astype(np.int32)
-    # |q xor p| = |q| + |p| - 2 q.p for binary vectors
-    return q.sum(axis=1)[:, None] + p.sum(axis=1)[None, :] - 2 * (q @ p.T)
+# Queries scored per distance block. A call holds a few (block x n_prototypes)
+# arrays at a time, however many queries it scores.
+_KNN_BLOCK_ROWS = 256
+# float32 holds every integer up to 2^24 exactly; |q| + |p| reaches 2 * n_v.
+_KNN_FLOAT32_MAX_WIDTH = 1 << 23
 
 
 def knn_classify(prototypes: BinaryBatch, queries: BinaryBatch, k: int) -> np.ndarray:
     """Hamming-distance k-NN with majority vote.
 
-    Vote ties go to the tied class with the smallest mean distance among
-    its neighbors, then to the lowest class id.
+    The k neighbors of a query are the k nearest prototypes, distance ties
+    going to the lowest prototype index (the order of a stable sort). Vote
+    ties go to the tied class with the smallest mean distance among its
+    neighbors, then to the lowest class id.
+
+    Costs one BLAS distance matmul per block of 256 queries, O(n_queries x
+    n_prototypes x n_v) in all, with no per-query Python loop. Extra memory
+    is a few 256 x n_prototypes arrays, whatever the number of queries: at
+    1,000 prototypes of 100 bits, about 3 MB for k = 1 and 11 MB for k > 1.
     """
     if len(prototypes) == 0:
         raise EmptyBatchError("prototype set is empty")
@@ -189,22 +196,46 @@ def knn_classify(prototypes: BinaryBatch, queries: BinaryBatch, k: int) -> np.nd
         raise DomainError("prototypes must be labeled")
     if not 1 <= k <= len(prototypes):
         raise DomainError(f"k must be in [1, {len(prototypes)}]")
-    dists = _hamming_distances(queries.rows, prototypes.rows)
-    # stable sort keeps results deterministic under distance ties
-    nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    if queries.n_v != prototypes.n_v:
+        raise DimensionError(
+            f"queries have width {queries.n_v}, prototypes width {prototypes.n_v}"
+        )
+    dtype = np.float32 if prototypes.n_v <= _KNN_FLOAT32_MAX_WIDTH else np.float64
+    protos = prototypes.rows.astype(dtype)
+    proto_ones = protos.sum(axis=1)
+    classes, proto_class = np.unique(prototypes.labels, return_inverse=True)
+    one_hot = (proto_class[:, None] == np.arange(classes.size)).astype(np.float64)
     out = np.empty(len(queries), dtype=np.int64)
-    for qi in range(len(queries)):
-        idx = nearest[qi]
-        labels = prototypes.labels[idx]
-        d = dists[qi, idx]
-        classes, counts = np.unique(labels, return_counts=True)
-        tied = classes[counts == counts.max()]
-        if tied.size == 1:
-            out[qi] = tied[0]
+    for start in range(0, len(queries), _KNN_BLOCK_ROWS):
+        q = queries.rows[start:start + _KNN_BLOCK_ROWS].astype(dtype)
+        # |q xor p| = |q| + |p| - 2 q.p for binary vectors. Every product and
+        # partial sum is an integer no larger than 2 * n_v, which dtype
+        # represents exactly, so the distances are exact whatever BLAS's
+        # summation order.
+        dists = q @ protos.T
+        dists *= -2
+        dists += q.sum(axis=1)[:, None]
+        dists += proto_ones
+        block = slice(start, start + len(q))
+        if k == 1:
+            # argmin returns the first minimum: the lowest-index nearest prototype
+            out[block] = prototypes.labels[dists.argmin(axis=1)]
             continue
-        mean_d = np.array([d[labels == c].mean() for c in tied])
-        best = tied[mean_d == mean_d.min()]
-        out[qi] = best.min()
+        # Neighbors: every prototype closer than the k-th smallest distance,
+        # then the lowest-index prototypes at that distance until there are k.
+        kth = np.partition(dists, k - 1, axis=1)[:, [k - 1]]
+        closer = dists < kth
+        at_kth = dists == kth
+        room = k - closer.sum(axis=1, keepdims=True)
+        chosen = closer | (at_kth & (np.cumsum(at_kth, axis=1, dtype=np.int32) <= room))
+        # votes and per-class distance sums in one matmul; integers below 2^53, so exact
+        stacked = np.empty((2 * len(q), dists.shape[1]))
+        stacked[:len(q)] = chosen
+        np.multiply(chosen, dists, out=stacked[len(q):])
+        votes, dist_sums = np.split(stacked @ one_hot, 2)
+        # tied classes share a vote count, so their sums order them as their means do
+        best_sums = np.where(votes == votes.max(axis=1, keepdims=True), dist_sums, np.inf)
+        out[block] = classes[best_sums.argmin(axis=1)]
     return out
 
 

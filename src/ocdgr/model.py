@@ -317,18 +317,32 @@ def load_model(path):
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
     off = _HEADER_BYTES
-    need = 8 * (n_h * n_v + n_v + n_h)
-    if len(data) < off + need + 4:
-        raise FormatError(f"{path}: truncated at offset {len(data)}, need {off + need + 4}")
-    w = np.frombuffer(data, "<f8", n_h * n_v, off).reshape(n_h, n_v)
-    off += 8 * n_h * n_v
-    a = np.frombuffer(data, "<f8", n_v, off)
-    off += 8 * n_v
-    b = np.frombuffer(data, "<f8", n_h, off)
-    off += 8 * n_h
+    n_values = n_h * n_v + n_v + n_h
+    need = off + 8 * n_values + 4
+    if len(data) < need:
+        raise FormatError(f"{path}: truncated at offset {len(data)}, need {need}")
+    values = np.frombuffer(data, "<f8", n_values, off)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite parameter {values[bad[0]]} "
+                          f"at offset {off + 8 * int(bad[0])}")
+    w = values[:n_h * n_v].reshape(n_h, n_v)
+    a = values[n_h * n_v:n_h * n_v + n_v]
+    b = values[n_h * n_v + n_v:]
+    off += 8 * n_values
     (blob_len,) = struct.unpack_from("<I", data, off)
     off += 4
     if len(data) < off + blob_len:
         raise FormatError(f"{path}: truncated metadata block at offset {off}")
-    meta = json.loads(data[off:off + blob_len].decode("utf-8")) if blob_len else {}
+    if len(data) > off + blob_len:
+        raise FormatError(f"{path}: {len(data) - off - blob_len} trailing bytes "
+                          f"at offset {off + blob_len}")
+    meta = {}
+    if blob_len:
+        try:
+            meta = json.loads(data[off:off + blob_len].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: metadata block at offset {off} is not UTF-8 JSON: {e}")
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: metadata block at offset {off} is not a JSON object")
     return RbmParameters(w.copy(), a.copy(), b.copy()), meta

@@ -102,9 +102,9 @@ class ReplayMemory:
         return (self._start + logical) % len(self._slots)
 
     def rows(self) -> np.ndarray:
-        """Copy of the stored rows, oldest first (a 1-d empty array before any insert)."""
+        """Copy of the stored rows, oldest first: (len, n_v), or (0, 0) before any insert."""
         if self._slots is None:
-            return np.empty(0, dtype=np.uint8)
+            return np.empty((0, 0), dtype=np.uint8)
         return self._slots[self._slot_of(np.arange(self._len))]
 
     def sample(self, n: int, rng: np.random.Generator) -> Optional[BinaryBatch]:

@@ -149,6 +149,20 @@ class TestCmdTrain:
         assert main(["train", "--config", str(path)]) == 3
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"hyperparameters": {"n_h": 8, "n_hidden": 4}}, "n_hidden"),
+    ({"train_dataset": {"kind": "toy", "n_per_class": "x"}}, "n_per_class"),
+    ({"hyperparameters": {"n_h": 8, "learning_rate": "fast"}}, "learning_rate"),
+    (None, "JSON object"),  # top level is a list
+], ids=["unknown_hyperparameter", "dataset_field_type", "hyperparameter_type", "top_level_list"])
+def test_train_config_errors_exit_2(tmp_path, capsys, config, named):
+    path = write_toy_config(tmp_path, **(config or {}))
+    if config is None:
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+    assert main(["train", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 class TestCmdEvaluate:
     def test_uniform_model_mean_log_prob(self, tmp_path):
         # a zero-parameter model is uniform: log p(v) = -n_v * ln 2 for every v
@@ -201,6 +215,17 @@ class TestCmdGenerate:
         batch = load_binary_text(a)
         assert len(batch) == 200 and batch.n_v == 20
         assert 0.4 < batch.rows.mean() < 0.6  # zero model: bits near one half
+
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    def test_corrupt_model_metadata_exit_3(self, tmp_path, capsys, command):
+        model = tmp_path / "m.rbm"
+        save_model(model, init_params(6, 2, 0.1, rng()))
+        model.write_bytes(model.read_bytes()[:-6] + b"\x01\x00\x00\x00{")  # metadata "{"
+        args = {"generate": ["-n", "3", "--out", str(tmp_path / "s.txt")],
+                "evaluate": ["--test-kind", "toy"]}[command]
+        assert main([command, "--model", str(model), *args]) == 3
+        assert "m.rbm: metadata block at offset" in capsys.readouterr().err
 
 
 class TestCmdCompare:

@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ocdgr import (
     AisSchedule,
     BinaryBatch,
+    DimensionError,
     DomainError,
     EmptyBatchError,
     InfeasibleSizeError,
@@ -228,6 +232,61 @@ class TestKnn:
             knn_classify(protos, protos, k=0)
         with pytest.raises(DomainError):
             knn_classify(protos, protos, k=7)
+
+    def test_width_mismatch_names_both_widths(self):
+        protos = self.make_protos()
+        queries = BinaryBatch(np.zeros((2, 8), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="width 8.*width 9"):
+            knn_classify(protos, queries, k=1)
+        with pytest.raises(DimensionError, match="width 8.*width 9"):
+            class_histogram(queries, protos, k=1)
+
+    def test_many_query_blocks_match_reference(self):
+        # more queries than one scoring block, with ties at the k-th distance
+        g = rng(24)
+        protos = (g.random((40, 6)) < 0.5).astype(np.uint8)
+        labels = g.choice([1, 5, 8], size=40)
+        queries = (g.random((700, 6)) < 0.5).astype(np.uint8)
+        got = knn_classify(BinaryBatch(protos, labels), BinaryBatch(queries), k=4)
+        assert got.tolist() == knn_reference(protos, labels, queries, 4)
+
+
+def knn_reference(protos, labels, queries, k):
+    """k-NN by XOR counting: stable per-query order, then the documented tie rule."""
+    out = []
+    for q in queries:
+        dist = [int(np.sum(q ^ p)) for p in protos]
+        nearest = sorted(range(len(protos)), key=lambda i: dist[i])[:k]  # sorted() is stable
+        votes, sums = {}, {}
+        for i in nearest:
+            c = int(labels[i])
+            votes[c] = votes.get(c, 0) + 1
+            sums[c] = sums.get(c, 0) + dist[i]
+        # most votes, then smallest mean distance, then lowest class id
+        out.append(min(votes, key=lambda c: (-votes[c], sums[c] / votes[c], c)))
+    return out
+
+
+@st.composite
+def knn_cases(draw):
+    width = draw(st.integers(1, 6))  # narrow rows make distance ties frequent
+    n_protos = draw(st.integers(1, 12))
+    bits = st.integers(0, 1)
+    protos = draw(arrays(np.uint8, (n_protos, width), elements=bits))
+    labels = np.array(draw(st.lists(st.sampled_from([-3, 2, 5, 11]),
+                                    min_size=n_protos, max_size=n_protos)))
+    queries = draw(arrays(np.uint8, (draw(st.integers(0, 8)), width), elements=bits))
+    k = draw(st.integers(1, n_protos))
+    return protos, labels, queries, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=knn_cases())
+def test_knn_matches_brute_force_reference(case):
+    protos, labels, queries, k = case
+    got = knn_classify(BinaryBatch(protos, labels), BinaryBatch(queries), k)
+    assert got.dtype == np.int64 and got.shape == (len(queries),)
+    assert got.tolist() == knn_reference(protos, labels, queries, k)
 
 
 class TestClassHistogram:

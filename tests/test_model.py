@@ -333,3 +333,40 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:30])
         with pytest.raises(FormatError):
             load_model(path)
+
+    # a 4 x 3 model: 16 header bytes, 19 float64 parameters, then the
+    # 4-byte metadata length at offset 168 and the metadata at offset 172
+    @staticmethod
+    def saved_bytes(tmp_path):
+        path = tmp_path / "m.rbm"
+        save_model(path, random_params(4, 3), Hyperparameters(n_v=4, n_h=3))
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("blob", [b"{nope", b'{"a": "\xff"}'],
+                             ids=["invalid_json", "invalid_utf8"])
+    def test_corrupt_metadata_names_offset(self, tmp_path, blob):
+        path, data = self.saved_bytes(tmp_path)
+        path.write_bytes(data[:168] + len(blob).to_bytes(4, "little") + blob)
+        with pytest.raises(FormatError, match=f"{path.name}: metadata block at offset 172"):
+            load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        path.write_bytes(data + b"\x00\x01")
+        with pytest.raises(FormatError,
+                           match=f"{path.name}: 2 trailing bytes at offset {len(data)}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("index, value, offset", [
+        (5, np.nan, 56),      # weights[1, 1]
+        (13, -np.inf, 120),   # visible_bias[1]
+        (18, np.inf, 160),    # hidden_bias[2]
+    ])
+    def test_non_finite_parameter_names_offset(self, tmp_path, index, value, offset):
+        path, data = self.saved_bytes(tmp_path)
+        values = np.frombuffer(data, "<f8", 19, 16).copy()
+        values[index] = value
+        path.write_bytes(data[:16] + values.tobytes() + data[168:])
+        with pytest.raises(FormatError, match=f"{path.name}: non-finite parameter .* "
+                                              f"at offset {offset}$"):
+            load_model(path)

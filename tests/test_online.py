@@ -146,6 +146,8 @@ class ListMemory:
             self.insert(row)
 
     def rows(self):
+        if not self.items:
+            return np.empty((0, 0), dtype=np.uint8)
         return np.array(self.items, dtype=np.uint8)
 
     def sample(self, n, g):
@@ -192,6 +194,7 @@ def test_replay_memory_matches_list_reference(capacity, ops, seed):
             mem.insert_batch(BinaryBatch(rows))
             ref.insert_batch(BinaryBatch(rows))
         assert len(mem) == len(ref.items)
+        assert mem.rows().shape == ref.rows().shape
         assert np.array_equal(mem.rows(), ref.rows())
         for bit_packed in (False, True):
             assert mem.scalar_count(bit_packed) == ref.scalar_count(bit_packed)
