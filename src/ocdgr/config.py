@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 import numbers
 import zlib
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class ExperimentConfig:
         hp.setdefault("n_v", n_v)
         if "n_h" not in hp:
             raise ConfigError("hyperparameters must set n_h")
-        kinds = {f.name: f.type for f in fields(Hyperparameters)}
+        kinds = get_type_hints(Hyperparameters)
         unknown = set(hp) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown hyperparameter keys: {sorted(unknown)}")
@@ -113,22 +113,25 @@ class ExperimentConfig:
         return Hyperparameters(**hp)
 
 
-def _check_kind(where: str, key: str, value, kind: str):
+# The JSON values each field type accepts; JSON booleans are not numbers.
+_ACCEPTS = {bool: bool, int: numbers.Integral, float: numbers.Real}
+
+
+def _check_kind(where: str, key: str, value, kind: type):
     """Return value, or raise ConfigError naming key if its JSON type does not fit kind.
 
-    kind is "int", "float" (an int is accepted) or "bool"; JSON booleans are not numbers.
+    kind is int, float (an int is accepted) or bool. Any other kind is a
+    fault in the caller, not in the config, and raises TypeError.
     """
-    if kind == "bool":
-        ok = isinstance(value, bool)
-    else:
-        allowed = numbers.Integral if kind == "int" else numbers.Real
-        ok = isinstance(value, allowed) and not isinstance(value, bool)
-    if not ok:
-        raise ConfigError(f"{where} field {key!r} must be of type {kind}, got {value!r}")
+    if kind not in _ACCEPTS:
+        raise TypeError(f"{where} field {key!r} has unsupported type {kind!r}")
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ACCEPTS[kind]):
+        raise ConfigError(f"{where} field {key!r} must be of type {kind.__name__}, "
+                          f"got {value!r}")
     return value
 
 
-def _spec_field(spec: dict, key: str, default, kind: str):
+def _spec_field(spec: dict, key: str, default, kind: type):
     return _check_kind("dataset spec", key, spec.get(key, default), kind)
 
 
@@ -138,10 +141,10 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
     if kind == "toy":
         rng = derive_rng(master_seed, f"{role}-toy-data")
         batch = toy_generate(
-            n_per_class=_spec_field(spec, "n_per_class", 1000, "int"),
-            n_classes=_spec_field(spec, "n_classes", 10, "int"),
-            block=_spec_field(spec, "block", 10, "int"),
-            p=_spec_field(spec, "p", 0.3, "float"),
+            n_per_class=_spec_field(spec, "n_per_class", 1000, int),
+            n_classes=_spec_field(spec, "n_classes", 10, int),
+            block=_spec_field(spec, "block", 10, int),
+            p=_spec_field(spec, "p", 0.3, float),
             rng=rng,
         )
     elif kind == "idx":
@@ -163,7 +166,7 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     limit = spec.get("limit")
     if limit is not None:
-        _check_kind("dataset spec", "limit", limit, "int")
+        _check_kind("dataset spec", "limit", limit, int)
         batch = batch.take(np.arange(min(limit, len(batch))))
     return batch
 

@@ -188,7 +188,7 @@ def knn_classify(prototypes: BinaryBatch, queries: BinaryBatch, k: int) -> np.nd
     Costs one BLAS distance matmul per block of 256 queries, O(n_queries x
     n_prototypes x n_v) in all, with no per-query Python loop. Extra memory
     is a few 256 x n_prototypes arrays, whatever the number of queries: at
-    1,000 prototypes of 100 bits, about 3 MB for k = 1 and 11 MB for k > 1.
+    1,000 prototypes of 100 bits, about 3 MB for k = 1 and 12 MB for k > 1.
     """
     if len(prototypes) == 0:
         raise EmptyBatchError("prototype set is empty")
@@ -203,8 +203,9 @@ def knn_classify(prototypes: BinaryBatch, queries: BinaryBatch, k: int) -> np.nd
     dtype = np.float32 if prototypes.n_v <= _KNN_FLOAT32_MAX_WIDTH else np.float64
     protos = prototypes.rows.astype(dtype)
     proto_ones = protos.sum(axis=1)
-    classes, proto_class = np.unique(prototypes.labels, return_inverse=True)
-    one_hot = (proto_class[:, None] == np.arange(classes.size)).astype(np.float64)
+    if k > 1:
+        classes, proto_class = np.unique(prototypes.labels, return_inverse=True)
+        one_hot = (proto_class[:, None] == np.arange(classes.size)).astype(np.float64)
     out = np.empty(len(queries), dtype=np.int64)
     for start in range(0, len(queries), _KNN_BLOCK_ROWS):
         q = queries.rows[start:start + _KNN_BLOCK_ROWS].astype(dtype)
@@ -221,13 +222,10 @@ def knn_classify(prototypes: BinaryBatch, queries: BinaryBatch, k: int) -> np.nd
             # argmin returns the first minimum: the lowest-index nearest prototype
             out[block] = prototypes.labels[dists.argmin(axis=1)]
             continue
-        # Neighbors: every prototype closer than the k-th smallest distance,
-        # then the lowest-index prototypes at that distance until there are k.
-        kth = np.partition(dists, k - 1, axis=1)[:, [k - 1]]
-        closer = dists < kth
-        at_kth = dists == kth
-        room = k - closer.sum(axis=1, keepdims=True)
-        chosen = closer | (at_kth & (np.cumsum(at_kth, axis=1, dtype=np.int32) <= room))
+        # a stable sort breaks distance ties by the lowest prototype index
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :k]
+        chosen = np.zeros(dists.shape, dtype=bool)
+        np.put_along_axis(chosen, nearest, True, axis=1)
         # votes and per-class distance sums in one matmul; integers below 2^53, so exact
         stacked = np.empty((2 * len(q), dists.shape[1]))
         stacked[:len(q)] = chosen

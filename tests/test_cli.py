@@ -2,11 +2,13 @@
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ocdgr import ConfigError, ExperimentConfig, derive_rng, init_params, load_dataset, save_model
+from ocdgr import (ConfigError, ExperimentConfig, Hyperparameters, derive_rng, init_params,
+                   load_dataset, save_model)
 from ocdgr.cli import REFERENCE_FINAL_LOG_PROB, main
 
 from conftest import rng
@@ -60,6 +62,18 @@ class TestExperimentConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "absent.json")
+
+    def test_every_hyperparameter_field_type_checked(self):
+        # each field, given at its default, passes the JSON type check; a field
+        # type the check does not know would raise TypeError here
+        defaults = asdict(Hyperparameters(n_v=4, n_h=3))
+        cfg = ExperimentConfig(master_seed=0, trainer="ocdgr",
+                               train_dataset={"kind": "toy"}, hyperparameters=defaults)
+        assert cfg.hyper(4) == Hyperparameters(n_v=4, n_h=3)
+        for key, wrong in [("decay_biases", 1), ("n_epochs", True), ("n_cd", 1.0)]:
+            cfg.hyperparameters = {**defaults, key: wrong}
+            with pytest.raises(ConfigError, match=key):
+                cfg.hyper(4)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
