@@ -71,10 +71,8 @@ def run_experiment(config: ExperimentConfig, evaluate_checkpoints: bool = True) 
     resolved = config.resolved(train.n_v)
 
     train_rng = derive_rng(config.master_seed, "train")
-    params, snapshots = stream_train(
-        config.trainer, stream, hyper, config.checkpoint_every, train_rng,
-        bit_packed_memory=config.bit_packed_memory,
-    )
+    params, snapshots = stream_train(config.trainer, stream, hyper, config.checkpoint_every,
+                                     train_rng)
     train_ms = (time.perf_counter() - t0) * 1000.0
 
     rows = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import zlib
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .data import StreamOrder, binarize, load_binary_text, load_idx, toy_generate
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError, DomainError
 from .model import BinaryBatch, Hyperparameters
 
 
@@ -44,9 +45,13 @@ class ExperimentConfig:
     ais: dict = field(default_factory=lambda: {"n_betas": 1000, "n_chains": 100})
     hyperparameters: dict = field(default_factory=dict)
     output_dir: str = "out"
-    bit_packed_memory: bool = False
 
     def __post_init__(self):
+        _check_kind("config", "master_seed", self.master_seed, int, minimum=0)
+        _check_kind("config", "checkpoint_every", self.checkpoint_every, int, minimum=1)
+        if isinstance(self.ais, dict) and self.ais.get("preset") != "paper":
+            _check_kind("ais", "n_betas", self.ais.get("n_betas", 1000), int, minimum=2)
+            _check_kind("ais", "n_chains", self.ais.get("n_chains", 100), int, minimum=1)
         if self.stream_order not in ("sorted_by_class", "random"):
             raise ConfigError(f"unknown stream_order {self.stream_order!r}")
         if self.estimator not in ("exact", "ais"):
@@ -96,7 +101,6 @@ class ExperimentConfig:
             "ais": self.ais,
             "hyperparameters": hyper,
             "output_dir": str(self.output_dir),
-            "bit_packed_memory": self.bit_packed_memory,
         }
 
     def hyper(self, n_v: int) -> Hyperparameters:
@@ -110,24 +114,33 @@ class ExperimentConfig:
             raise ConfigError(f"unknown hyperparameter keys: {sorted(unknown)}")
         for key, value in hp.items():
             _check_kind("hyperparameters", key, value, kinds[key])
-        return Hyperparameters(**hp)
+        try:
+            return Hyperparameters(**hp)
+        except (DimensionError, DomainError) as e:
+            raise ConfigError(f"hyperparameters: {e}")
 
 
 # The JSON values each field type accepts; JSON booleans are not numbers.
-_ACCEPTS = {bool: bool, int: numbers.Integral, float: numbers.Real}
+_ACCEPTS = {bool: bool, int: numbers.Integral, float: numbers.Real, str: str}
 
 
-def _check_kind(where: str, key: str, value, kind: type):
-    """Return value, or raise ConfigError naming key if its JSON type does not fit kind.
+def _check_kind(where: str, key: str, value, kind: type, minimum=None):
+    """Return value, or raise ConfigError naming key if it does not fit kind.
 
-    kind is int, float (an int is accepted) or bool. Any other kind is a
-    fault in the caller, not in the config, and raises TypeError.
+    kind is int, float (an int is accepted), bool or str. A float must be
+    finite, and a number must be at least minimum when one is given. Any
+    other kind is a fault in the caller, not in the config, and raises
+    TypeError.
     """
     if kind not in _ACCEPTS:
         raise TypeError(f"{where} field {key!r} has unsupported type {kind!r}")
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ACCEPTS[kind]):
         raise ConfigError(f"{where} field {key!r} must be of type {kind.__name__}, "
                           f"got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} field {key!r} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where} field {key!r} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -148,19 +161,16 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
             rng=rng,
         )
     elif kind == "idx":
-        for key in ("images", "labels"):
-            if key not in spec:
-                raise ConfigError(f"idx dataset spec needs an {key!r} path")
-        images, labels = load_idx(spec["images"], spec["labels"])
+        images, labels = load_idx(_spec_field(spec, "images", None, str),
+                                  _spec_field(spec, "labels", None, str))
         mode = spec.get("binarize", "threshold")
         rng = derive_rng(master_seed, f"{role}-binarize") if mode == "stochastic" else None
         batch = binarize(images, mode, rng, labels)
     elif kind == "text":
-        if "path" not in spec:
-            raise ConfigError("text dataset spec needs a 'path'")
-        batch = load_binary_text(spec["path"])
-        if spec.get("labels_path"):
-            labels = np.loadtxt(spec["labels_path"], dtype=np.int64, ndmin=1)
+        batch = load_binary_text(_spec_field(spec, "path", None, str))
+        if spec.get("labels_path") is not None:
+            labels = np.loadtxt(_spec_field(spec, "labels_path", None, str),
+                                dtype=np.int64, ndmin=1)
             batch = BinaryBatch(batch.rows, labels)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")

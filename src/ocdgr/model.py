@@ -255,6 +255,20 @@ def sample_bernoulli(probs, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(probs.shape) < probs).astype(np.uint8)
 
 
+def _gibbs(params: RbmParameters, h, n_steps: int, rng: np.random.Generator):
+    """The alternating Gibbs chain every sampler in the package runs.
+
+    Each step samples v from P(v | h), then h from P(h | v). Returns the
+    final binary v, the hidden probabilities at that v, and the final
+    binary h. n_steps must be >= 1.
+    """
+    for _ in range(n_steps):
+        v = sample_bernoulli(visible_probs(params, h), rng)
+        hp = hidden_probs(params, v)
+        h = sample_bernoulli(hp, rng)
+    return v, hp, h
+
+
 def gibbs_from_hidden(params: RbmParameters, h_init, n_steps: int, rng: np.random.Generator):
     """Alternating Gibbs chain started from a (possibly real-valued) hidden state.
 
@@ -265,11 +279,7 @@ def gibbs_from_hidden(params: RbmParameters, h_init, n_steps: int, rng: np.rando
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    h = np.asarray(h_init, dtype=np.float64)
-    v = None
-    for _ in range(n_steps):
-        v = sample_bernoulli(visible_probs(params, h), rng)
-        h = sample_bernoulli(hidden_probs(params, v), rng)
+    v, _, h = _gibbs(params, np.asarray(h_init, dtype=np.float64), n_steps, rng)
     return v, h
 
 

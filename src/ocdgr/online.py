@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .model import BinaryBatch, Hyperparameters, RbmParameters, sample_bernoulli, visible_probs, hidden_probs
+from .model import BinaryBatch, Hyperparameters, RbmParameters, _gibbs, init_params
 from .training import UpdateState, cd_update_epochs
 
 TRAINER_KINDS = ("ocdgr", "er_ml", "er_im")
@@ -32,11 +32,7 @@ def generate_replay(params: RbmParameters, n_samples: int, n_gibbs: int,
         raise DomainError("n_samples must be >= 1")
     if n_gibbs < 1:
         raise DomainError("n_gibbs must be >= 1")
-    h = rng.random((n_samples, params.n_h))
-    v = None
-    for _ in range(n_gibbs):
-        v = sample_bernoulli(visible_probs(params, h), rng)
-        h = sample_bernoulli(hidden_probs(params, v), rng)
+    v, _, _ = _gibbs(params, rng.random((n_samples, params.n_h)), n_gibbs, rng)
     return BinaryBatch(v)
 
 
@@ -115,15 +111,9 @@ class ReplayMemory:
         idx = rng.choice(self._len, size=k, replace=False)
         return BinaryBatch(self._slots[self._slot_of(idx)])
 
-    def scalar_count(self, bit_packed: bool = False) -> int:
-        """Stored scalars, at one scalar per component (or per 64 if bit-packed).
-
-        Counts the rows held, not the slots allocated.
-        """
-        if not self._len:
-            return 0
-        total = self._len * self._slots.shape[1]
-        return -(-total // 64) if bit_packed else total
+    def scalar_count(self) -> int:
+        """Stored scalars, one per component of each row held (not per slot allocated)."""
+        return self._len * self._slots.shape[1] if self._len else 0
 
 
 def er_ml_capacity(n_v: int, n_h: int) -> int:
@@ -139,7 +129,7 @@ class OnlineTrainerState:
 
     params: RbmParameters
     update_state: UpdateState
-    pending: list = field(default_factory=list)
+    pending: list = field(default_factory=list)  # rows awaiting the next update, or a 2-d array
     t: int = 1
     observed_count: int = 0
 
@@ -150,14 +140,26 @@ class OnlineTrainerState:
     def pending_batch(self) -> BinaryBatch:
         return BinaryBatch(np.array(self.pending, dtype=np.uint8))
 
-    def live_scalar_count(self, memory: Optional[ReplayMemory] = None,
-                          bit_packed: bool = False) -> int:
+    def live_scalar_count(self, memory: Optional[ReplayMemory] = None) -> int:
         """Scalars held live: parameters, momentum buffer, pending rows, memory."""
         n = 2 * self.params.scalar_count  # params + same-shaped delta
         n += len(self.pending) * self.params.n_v
         if memory is not None:
-            n += memory.scalar_count(bit_packed)
+            n += memory.scalar_count()
         return n
+
+
+def _update_procedure(state: OnlineTrainerState, replayed: Optional[BinaryBatch],
+                      hyper: Hyperparameters, rng: np.random.Generator):
+    """The update procedure every trainer runs: CD epochs on the pending rows plus replay.
+
+    Returns (new state, observed batch). The new state has an empty
+    pending list and t advanced by one; the momentum buffer carries over.
+    """
+    observed = state.pending_batch()
+    batch = BinaryBatch.concat([observed] if replayed is None else [observed, replayed])
+    params, update_state = cd_update_epochs(state.params, state.update_state, batch, hyper, rng)
+    return OnlineTrainerState(params, update_state, [], state.t + 1, state.observed_count), observed
 
 
 def ocdgr_update_procedure(state: OnlineTrainerState, hyper: Hyperparameters,
@@ -165,19 +167,15 @@ def ocdgr_update_procedure(state: OnlineTrainerState, hyper: Hyperparameters,
     """One generative-replay update: augment the observed batch with model samples.
 
     No replay is generated on the very first procedure (t=1), when the
-    model has seen nothing yet. The momentum buffer carries over between
-    procedures; the observed and generated batches are discarded at the end,
-    so the live state never grows with the length of the stream.
+    model has seen nothing yet. The observed and generated batches are
+    discarded at the end, so the live state never grows with the stream.
     """
-    if not state.pending:
+    if not len(state.pending):
         return state
-    observed = state.pending_batch()
-    parts = [observed]
+    replayed = None
     if state.t > 1 and hyper.replay_size > 0:
-        parts.append(generate_replay(state.params, hyper.replay_size, hyper.n_gibbs, rng))
-    batch = BinaryBatch.concat(parts)
-    params, update_state = cd_update_epochs(state.params, state.update_state, batch, hyper, rng)
-    return OnlineTrainerState(params, update_state, [], state.t + 1, state.observed_count)
+        replayed = generate_replay(state.params, hyper.replay_size, hyper.n_gibbs, rng)
+    return _update_procedure(state, replayed, hyper, rng)[0]
 
 
 def er_update_procedure(state: OnlineTrainerState, memory: ReplayMemory,
@@ -187,18 +185,11 @@ def er_update_procedure(state: OnlineTrainerState, memory: ReplayMemory,
     After the update the newly observed points are inserted into memory
     (FIFO eviction when bounded). Returns (new state, memory).
     """
-    if not state.pending:
+    if not len(state.pending):
         return state, memory
-    observed = state.pending_batch()
-    parts = [observed]
-    if hyper.replay_size > 0:
-        replayed = memory.sample(hyper.replay_size, rng)
-        if replayed is not None:
-            parts.append(replayed)
-    batch = BinaryBatch.concat(parts)
-    params, update_state = cd_update_epochs(state.params, state.update_state, batch, hyper, rng)
+    new_state, observed = _update_procedure(state, memory.sample(hyper.replay_size, rng),
+                                            hyper, rng)
     memory.insert_batch(observed)
-    new_state = OnlineTrainerState(params, update_state, [], state.t + 1, state.observed_count)
     return new_state, memory
 
 
@@ -215,14 +206,15 @@ class CheckpointSnapshot:
 
 def stream_train(trainer_kind: str, stream: BinaryBatch, hyper: Hyperparameters,
                  checkpoint_every: int, rng: np.random.Generator,
-                 initial_params: Optional[RbmParameters] = None,
-                 bit_packed_memory: bool = False):
+                 initial_params: Optional[RbmParameters] = None):
     """Feed an ordered stream of observations to an online trainer.
 
     Points accumulate into a pending batch; every batch_size points the
     trainer's update procedure runs. A snapshot is recorded after every
     checkpoint_every observed points. A partial batch left at stream end
-    triggers one final flush update. Returns (final params, snapshots).
+    triggers one final flush update. A DomainError raised by an update
+    (a non-finite parameter, say) is re-raised naming the procedure index
+    t and the observed count. Returns (final params, snapshots).
     """
     if trainer_kind not in TRAINER_KINDS:
         raise ConfigError(f"unknown trainer kind {trainer_kind!r}, expected one of {TRAINER_KINDS}")
@@ -230,38 +222,36 @@ def stream_train(trainer_kind: str, stream: BinaryBatch, hyper: Hyperparameters,
         raise DomainError("checkpoint_every must be >= 1")
 
     if initial_params is None:
-        from .model import init_params
         initial_params = init_params(hyper.n_v, hyper.n_h, hyper.init_std, rng)
     state = OnlineTrainerState.fresh(initial_params)
+    memory = {"ocdgr": None, "er_im": ReplayMemory(None),
+              "er_ml": ReplayMemory(er_ml_capacity(hyper.n_v, hyper.n_h))}[trainer_kind]
 
-    memory: Optional[ReplayMemory] = None
-    if trainer_kind == "er_ml":
-        cap = er_ml_capacity(hyper.n_v, hyper.n_h)
-        if bit_packed_memory:
-            cap *= 64
-        memory = ReplayMemory(cap)
-    elif trainer_kind == "er_im":
-        memory = ReplayMemory(None)
-
-    def run_update(st: OnlineTrainerState) -> OnlineTrainerState:
-        nonlocal memory
-        if trainer_kind == "ocdgr":
-            return ocdgr_update_procedure(st, hyper, rng)
-        st, memory = er_update_procedure(st, memory, hyper, rng)
-        return st
-
+    n, start = len(stream), 0  # stream.rows[start:] are not yet trained on
     snapshots: list[CheckpointSnapshot] = []
-    for row in stream.rows:
-        state.pending.append(row)
-        state.observed_count += 1
-        if len(state.pending) == hyper.batch_size:
-            state = run_update(state)
-        if state.observed_count % checkpoint_every == 0:
+    for end in sorted({*range(hyper.batch_size, n + 1, hyper.batch_size),
+                       *range(checkpoint_every, n + 1, checkpoint_every)}):
+        state.pending, state.observed_count = stream.rows[start:end], end
+        if end - start == hyper.batch_size:
+            state, start = _run_procedure(state, memory, hyper, rng), end
+        if end % checkpoint_every == 0:
             snapshots.append(CheckpointSnapshot(
-                state.observed_count, state.params, state.t,
-                0 if memory is None else len(memory),
-                state.live_scalar_count(memory, bit_packed_memory),
+                end, state.params, state.t, 0 if memory is None else len(memory),
+                state.live_scalar_count(memory),
             ))
-    if state.pending:
-        state = run_update(state)
+    if start < n:
+        state.pending, state.observed_count = stream.rows[start:], n
+        state = _run_procedure(state, memory, hyper, rng)
     return state.params, snapshots
+
+
+def _run_procedure(state: OnlineTrainerState, memory: Optional[ReplayMemory],
+                   hyper: Hyperparameters, rng: np.random.Generator) -> OnlineTrainerState:
+    """Run one update procedure, ocdgr's when memory is None, naming it if it fails."""
+    try:
+        if memory is None:
+            return ocdgr_update_procedure(state, hyper, rng)
+        return er_update_procedure(state, memory, hyper, rng)[0]
+    except DomainError as e:
+        raise DomainError(f"update procedure t={state.t} failed after "
+                          f"{state.observed_count} observations: {e}") from e

@@ -16,9 +16,9 @@ from .model import (
     BinaryBatch,
     Hyperparameters,
     RbmParameters,
+    _gibbs,
     hidden_probs,
     sample_bernoulli,
-    visible_probs,
 )
 
 
@@ -82,13 +82,7 @@ def cd_negative_phase(params: RbmParameters, batch: BinaryBatch, h0_probs: np.nd
     """
     if n_cd < 1:
         raise DomainError("n_cd must be >= 1")
-    h = sample_bernoulli(h0_probs, rng)
-    v = None
-    hp = None
-    for _ in range(n_cd):
-        v = sample_bernoulli(visible_probs(params, h), rng)
-        hp = hidden_probs(params, v)
-        h = sample_bernoulli(hp, rng)
+    v, hp, _ = _gibbs(params, sample_bernoulli(h0_probs, rng), n_cd, rng)
     vf = v.astype(np.float64)
     stats = GradientStatistics(hp.T @ vf, vf.sum(axis=0), hp.sum(axis=0))
     return stats, BinaryBatch(v)
@@ -128,17 +122,20 @@ def apply_update(params: RbmParameters, state: UpdateState,
     return new_params, UpdateState(dw, da, db, state.epoch_index + 1)
 
 
+def _cd_step(params: RbmParameters, state: UpdateState, batch: BinaryBatch,
+             hyper: Hyperparameters, momentum: float, rng: np.random.Generator):
+    """One CD-n_cd update on one batch; returns (new params, new state)."""
+    pos, h0 = positive_statistics(params, batch)
+    neg, _ = cd_negative_phase(params, batch, h0, hyper.n_cd, rng)
+    return apply_update(params, state, pos, neg, len(batch), hyper.learning_rate,
+                        momentum, hyper.weight_decay, hyper.decay_biases)
+
+
 def cd_update_epochs(params: RbmParameters, state: UpdateState, batch: BinaryBatch,
                      hyper: Hyperparameters, rng: np.random.Generator):
     """Run hyper.n_epochs CD updates on one fixed batch (an update procedure body)."""
     for e in range(1, hyper.n_epochs + 1):
-        pos, h0 = positive_statistics(params, batch)
-        neg, _ = cd_negative_phase(params, batch, h0, hyper.n_cd, rng)
-        params, state = apply_update(
-            params, state, pos, neg, len(batch),
-            hyper.learning_rate, effective_momentum(e, hyper),
-            hyper.weight_decay, hyper.decay_biases,
-        )
+        params, state = _cd_step(params, state, batch, hyper, effective_momentum(e, hyper), rng)
     return params, state
 
 
@@ -154,10 +151,5 @@ def train_offline(params: RbmParameters, dataset: BinaryBatch,
         mom = effective_momentum(epoch, hyper)
         for start in range(0, n, hyper.batch_size):
             mb = dataset.take(order[start:start + hyper.batch_size])
-            pos, h0 = positive_statistics(params, mb)
-            neg, _ = cd_negative_phase(params, mb, h0, hyper.n_cd, rng)
-            params, state = apply_update(
-                params, state, pos, neg, len(mb),
-                hyper.learning_rate, mom, hyper.weight_decay, hyper.decay_biases,
-            )
+            params, state = _cd_step(params, state, mb, hyper, mom, rng)
     return params

@@ -168,7 +168,23 @@ class TestCmdTrain:
     ({"train_dataset": {"kind": "toy", "n_per_class": "x"}}, "n_per_class"),
     ({"hyperparameters": {"n_h": 8, "learning_rate": "fast"}}, "learning_rate"),
     (None, "JSON object"),  # top level is a list
-], ids=["unknown_hyperparameter", "dataset_field_type", "hyperparameter_type", "top_level_list"])
+    ({"train_dataset": {"kind": "text", "path": 0}}, "path"),  # would read standard input
+    ({"train_dataset": {"kind": "text", "path": 5}}, "path"),  # would read file descriptor 5
+    ({"train_dataset": {"kind": "idx", "images": 1, "labels": "l"}}, "images"),
+    ({"master_seed": "x"}, "master_seed"),
+    ({"master_seed": -1}, "master_seed"),
+    ({"checkpoint_every": "x"}, "checkpoint_every"),
+    ({"checkpoint_every": 0}, "checkpoint_every"),
+    ({"ais": {"n_betas": "x"}}, "n_betas"),
+    ({"ais": {"n_betas": 1}}, "n_betas"),
+    ({"hyperparameters": {"n_h": 0}}, "n_h"),
+    ({"hyperparameters": {"n_h": 8, "learning_rate": float("nan")}}, "learning_rate"),
+    ({"bit_packed_memory": True}, "bit_packed_memory"),  # removed option: an unknown key
+], ids=["unknown_hyperparameter", "dataset_field_type", "hyperparameter_type", "top_level_list",
+        "text_path_zero", "text_path_int", "idx_images_int", "master_seed_type",
+        "master_seed_negative", "checkpoint_every_type", "checkpoint_every_zero",
+        "n_betas_type", "n_betas_one", "n_h_zero", "learning_rate_nan",
+        "bit_packed_memory_removed"])
 def test_train_config_errors_exit_2(tmp_path, capsys, config, named):
     path = write_toy_config(tmp_path, **(config or {}))
     if config is None:

@@ -116,7 +116,6 @@ class TestReplayMemory:
         mem = ReplayMemory(None)
         mem.insert_batch(BinaryBatch(np.zeros((7, 100), dtype=np.uint8)))
         assert mem.scalar_count() == 700
-        assert mem.scalar_count(bit_packed=True) == -(-700 // 64)
 
 
     def test_row_width_fixed_by_first_insert(self):
@@ -157,9 +156,8 @@ class ListMemory:
         stacked = self.rows()
         return stacked[g.choice(len(stacked), size=k, replace=False)]
 
-    def scalar_count(self, bit_packed=False):
-        total = sum(row.size for row in self.items)
-        return -(-total // 64) if bit_packed else total
+    def scalar_count(self):
+        return sum(row.size for row in self.items)
 
 
 MEMORY_OPS = st.lists(st.one_of(
@@ -196,8 +194,7 @@ def test_replay_memory_matches_list_reference(capacity, ops, seed):
         assert len(mem) == len(ref.items)
         assert mem.rows().shape == ref.rows().shape
         assert np.array_equal(mem.rows(), ref.rows())
-        for bit_packed in (False, True):
-            assert mem.scalar_count(bit_packed) == ref.scalar_count(bit_packed)
+        assert mem.scalar_count() == ref.scalar_count()
     for got, want in drawn:  # nothing inserted later reached a batch already drawn
         assert np.array_equal(got.rows, want)
 
@@ -349,9 +346,62 @@ class TestStreamTrain:
         assert all(r <= cap for r in (s.memory_rows for s in ml))
         assert ml[-1].memory_rows == cap
 
+    def test_divergence_names_stream_position(self):
+        hyper = Hyperparameters(n_v=6, n_h=3, batch_size=10, n_epochs=2, learning_rate=1e300)
+        with np.errstate(over="ignore"), pytest.raises(
+                DomainError, match=r"t=1 failed after 10 observations: .*finite"):
+            stream_train("ocdgr", make_batch(30, 6, 46), hyper, 10, rng(47))
+
     def test_same_seed_bitwise_identical(self):
         hyper = Hyperparameters(n_v=10, n_h=4, batch_size=10, n_epochs=2)
         stream = make_batch(30, 10, 44)
         a, _ = stream_train("ocdgr", stream, hyper, 10, rng(45))
         b, _ = stream_train("ocdgr", stream, hyper, 10, rng(45))
         assert (a.weights == b.weights).all()
+
+
+def per_row_stream_train(kind, stream, hyper, checkpoint_every, g, initial_params):
+    """Reference stream_train: one append per row, an update at every full batch."""
+    state = OnlineTrainerState.fresh(initial_params)
+    memory = {"ocdgr": None, "er_im": ReplayMemory(None),
+              "er_ml": ReplayMemory(er_ml_capacity(hyper.n_v, hyper.n_h))}[kind]
+
+    def update(st):
+        if memory is None:
+            return ocdgr_update_procedure(st, hyper, g)
+        return er_update_procedure(st, memory, hyper, g)[0]
+
+    snapshots = []
+    for row in stream.rows:
+        state.pending.append(row)
+        state.observed_count += 1
+        if len(state.pending) == hyper.batch_size:
+            state = update(state)
+        if state.observed_count % checkpoint_every == 0:
+            snapshots.append((state.observed_count, state.t,
+                              0 if memory is None else len(memory),
+                              state.live_scalar_count(memory), param_bytes(state.params)))
+    if state.pending:
+        state = update(state)
+    return param_bytes(state.params), snapshots
+
+
+def param_bytes(p):
+    return p.weights.tobytes() + p.visible_bias.tobytes() + p.hidden_bias.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ocdgr", "er_ml", "er_im"]), n=st.integers(1, 120),
+       batch_size=st.integers(1, 25), checkpoint_every=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_stream_train_matches_per_row_reference(kind, n, batch_size, checkpoint_every, seed):
+    hyper = Hyperparameters(n_v=6, n_h=3, n_epochs=1, batch_size=batch_size, replay_size=4)
+    stream = make_batch(n, 6, seed)
+    p0 = random_params(6, 3, seed=seed % 1000)
+    params, snaps = stream_train(kind, stream, hyper, checkpoint_every, rng(seed),
+                                 initial_params=p0)
+    want_params, want_snaps = per_row_stream_train(kind, stream, hyper, checkpoint_every,
+                                                   rng(seed), p0)
+    assert param_bytes(params) == want_params
+    assert [(s.observed_count, s.t, s.memory_rows, s.live_scalar_count, param_bytes(s.params))
+            for s in snaps] == want_snaps
