@@ -37,11 +37,10 @@ REFERENCE_SOURCE = "published reference: MNIST, n_h=500, n_CD=1, random order (n
 
 
 def _schedule_from_spec(spec) -> AisSchedule:
-    if spec == "paper" or (isinstance(spec, dict) and spec.get("preset") == "paper"):
+    """Schedule for an ais spec already checked by ExperimentConfig: "paper" or an object."""
+    if spec == "paper" or spec.get("preset") == "paper":
         return AisSchedule.paper_preset()
-    if isinstance(spec, dict):
-        return AisSchedule.uniform(int(spec.get("n_betas", 1000)), int(spec.get("n_chains", 100)))
-    raise ConfigError(f"unintelligible AIS schedule spec {spec!r}")
+    return AisSchedule.uniform(spec.get("n_betas", 1000), spec.get("n_chains", 100))
 
 
 def _estimate_log_z(params, estimator, ais_spec, rng):
@@ -281,6 +280,23 @@ def cmd_toy_demo(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an int no smaller than minimum, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_SEED = _int_at_least(0)
+_COUNT = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ocdgr",
                                      description="Online RBM training with generative replay")
@@ -298,24 +314,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--estimator", choices=("exact", "ais"), default="ais")
     p.add_argument("--schedule", choices=("uniform", "paper"), default="uniform")
-    p.add_argument("--n-betas", type=int, default=1000)
-    p.add_argument("--n-chains", type=int, default=100)
+    p.add_argument("--n-betas", type=_int_at_least(2), default=1000)
+    p.add_argument("--n-chains", type=_COUNT, default=100)
     p.add_argument("--test-kind", choices=("toy", "idx", "text"), required=True)
     p.add_argument("--test-images")
     p.add_argument("--test-labels")
     p.add_argument("--test-path")
     p.add_argument("--binarize", choices=("threshold", "stochastic"), default="threshold")
-    p.add_argument("--toy-n-per-class", type=int, default=100)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--toy-n-per-class", type=_COUNT, default=100)
+    p.add_argument("--limit", type=_COUNT)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="sample visible vectors from a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--gibbs-steps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-n", type=_COUNT, required=True)
+    p.add_argument("--gibbs-steps", type=_COUNT, default=1)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -327,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("toy-demo", help="class-incremental toy scenario demo")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-class", type=int, default=1000)
-    p.add_argument("--n-h", type=int, default=50)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--n-per-class", type=_COUNT, default=1000)
+    p.add_argument("--n-h", type=_COUNT, default=50)
     p.set_defaults(func=cmd_toy_demo)
 
     return parser

@@ -12,7 +12,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .data import StreamOrder, binarize, load_binary_text, load_idx, toy_generate
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError, FormatError
 from .model import BinaryBatch, Hyperparameters
 
 
@@ -49,9 +49,13 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_kind("config", "master_seed", self.master_seed, int, minimum=0)
         _check_kind("config", "checkpoint_every", self.checkpoint_every, int, minimum=1)
-        if isinstance(self.ais, dict) and self.ais.get("preset") != "paper":
-            _check_kind("ais", "n_betas", self.ais.get("n_betas", 1000), int, minimum=2)
-            _check_kind("ais", "n_chains", self.ais.get("n_chains", 100), int, minimum=1)
+        ais = self.ais if isinstance(self.ais, dict) else {"preset": self.ais}
+        if set(ais) - {"preset", "n_betas", "n_chains"} or ais.get("preset", "paper") != "paper":
+            raise ConfigError(f"ais must be \"paper\" or an object of \"n_betas\" and "
+                              f"\"n_chains\" (or \"preset\": \"paper\"), got {self.ais!r}")
+        if "preset" not in ais:
+            _check_kind("ais", "n_betas", ais.get("n_betas", 1000), int, minimum=2)
+            _check_kind("ais", "n_chains", ais.get("n_chains", 100), int, minimum=1)
         if self.stream_order not in ("sorted_by_class", "random"):
             raise ConfigError(f"unknown stream_order {self.stream_order!r}")
         if self.estimator not in ("exact", "ais"):
@@ -167,16 +171,23 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
         rng = derive_rng(master_seed, f"{role}-binarize") if mode == "stochastic" else None
         batch = binarize(images, mode, rng, labels)
     elif kind == "text":
-        batch = load_binary_text(_spec_field(spec, "path", None, str))
+        path = _spec_field(spec, "path", None, str)
+        batch = load_binary_text(path)
         if spec.get("labels_path") is not None:
-            labels = np.loadtxt(_spec_field(spec, "labels_path", None, str),
-                                dtype=np.int64, ndmin=1)
+            labels_path = _spec_field(spec, "labels_path", None, str)
+            try:
+                labels = np.loadtxt(labels_path, dtype=np.int64, ndmin=1)
+            except ValueError as e:
+                raise FormatError(f"{labels_path}: {e}")
+            if labels.shape != (len(batch),):
+                raise FormatError(f"{labels_path}: holds {labels.size} labels, "
+                                  f"{path} has {len(batch)} rows")
             batch = BinaryBatch(batch.rows, labels)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     limit = spec.get("limit")
     if limit is not None:
-        _check_kind("dataset spec", "limit", limit, int)
+        _check_kind("dataset spec", "limit", limit, int, minimum=1)
         batch = batch.take(np.arange(min(limit, len(batch))))
     return batch
 

@@ -87,9 +87,17 @@ def binarize(pixels: np.ndarray, mode: str = "threshold",
     return BinaryBatch(rows, labels)
 
 
+_BINARY_TOKENS = frozenset("01")
+
+
 def load_binary_text(path) -> BinaryBatch:
-    """Read whitespace-separated 0/1 rows of constant arity."""
-    rows = []
+    """Read whitespace-separated 0/1 rows of constant arity.
+
+    Lines starting with '#' and blank lines are skipped. Each line is checked
+    with one set test and kept as the string of its tokens; the rows become
+    one uint8 array in a single pass at the end.
+    """
+    lines = []
     arity = None
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -98,8 +106,8 @@ def load_binary_text(path) -> BinaryBatch:
             tokens = line.split()
             if not tokens:
                 continue
-            if any(tok not in ("0", "1") for tok in tokens):
-                bad = next(tok for tok in tokens if tok not in ("0", "1"))
+            if not _BINARY_TOKENS.issuperset(tokens):
+                bad = next(tok for tok in tokens if tok not in _BINARY_TOKENS)
                 raise FormatError(f"{path}: non-binary token {bad!r} at line {lineno}")
             if arity is None:
                 arity = len(tokens)
@@ -107,10 +115,11 @@ def load_binary_text(path) -> BinaryBatch:
                 raise FormatError(
                     f"{path}: ragged line {lineno} has {len(tokens)} tokens, expected {arity}"
                 )
-            rows.append([int(tok) for tok in tokens])
-    if not rows:
+            lines.append("".join(tokens))
+    if not lines:
         raise FormatError(f"{path}: no data rows")
-    return BinaryBatch(np.array(rows, dtype=np.uint8))
+    bits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8) - ord("0")
+    return BinaryBatch(bits.reshape(len(lines), arity))
 
 
 def toy_generate(n_per_class: int, n_classes: int = 10, block: int = 10,

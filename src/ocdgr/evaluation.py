@@ -14,7 +14,9 @@ from .model import BinaryBatch, RbmParameters, free_energy, hidden_free_energy, 
 
 # Largest layer that exact enumeration will attempt (2^25 states).
 EXACT_ENUM_LIMIT = 25
-_ENUM_BLOCK_BITS = 16
+# States per enumeration block, as a power of two. A block of 4,096 states
+# keeps each per-block array of a 100-unit layer at 3.3 MB, inside the cache.
+_ENUM_BLOCK_BITS = 12
 
 
 @dataclass

@@ -20,8 +20,13 @@ from .errors import DimensionError, DomainError, FormatError
 
 
 def softplus(x):
-    """log(1 + exp(x)), stable for large |x|."""
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)), stable for large |x|.
+
+    Evaluates max(x, 0) + log1p(exp(-|x|)), the formula np.logaddexp(0, x)
+    uses, as whole-array ufunc passes that numpy vectorises; logaddexp loops
+    element by element.
+    """
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 @dataclass(frozen=True)

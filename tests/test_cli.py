@@ -180,17 +180,71 @@ class TestCmdTrain:
     ({"hyperparameters": {"n_h": 0}}, "n_h"),
     ({"hyperparameters": {"n_h": 8, "learning_rate": float("nan")}}, "learning_rate"),
     ({"bit_packed_memory": True}, "bit_packed_memory"),  # removed option: an unknown key
+    ({"train_dataset": {"kind": "toy", "n_per_class": 60, "limit": -1}}, "limit"),
+    ({"train_dataset": {"kind": "toy", "n_per_class": 60, "limit": 0}}, "limit"),
 ], ids=["unknown_hyperparameter", "dataset_field_type", "hyperparameter_type", "top_level_list",
         "text_path_zero", "text_path_int", "idx_images_int", "master_seed_type",
         "master_seed_negative", "checkpoint_every_type", "checkpoint_every_zero",
         "n_betas_type", "n_betas_one", "n_h_zero", "learning_rate_nan",
-        "bit_packed_memory_removed"])
+        "bit_packed_memory_removed", "limit_negative", "limit_zero"])
 def test_train_config_errors_exit_2(tmp_path, capsys, config, named):
     path = write_toy_config(tmp_path, **(config or {}))
     if config is None:
         path.write_text(json.dumps([json.loads(path.read_text())]))
     assert main(["train", "--config", str(path)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ais", ["fast", 1000, None, ["paper"], {"preset": "fast"},
+                                 {"n_beta": 500}])
+def test_train_bad_ais_spec_exit_2_before_training(tmp_path, capsys, monkeypatch, ais):
+    def no_training(*args, **kwargs):
+        raise AssertionError("stream_train called despite a bad ais spec")
+    monkeypatch.setattr("ocdgr.cli.stream_train", no_training)
+    path = write_toy_config(tmp_path, ais=ais)
+    assert main(["train", "--config", str(path)]) == 2
+    assert "ais" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels_text, named", [
+    ("1\n2\n3\n", ["labels.txt: holds 3 labels, ", "d.txt has 2 rows"]),
+    ("1\n2.5\n", ["labels.txt: could not convert string '2.5'"]),
+], ids=["count_mismatch", "not_an_integer"])
+def test_train_bad_labels_file_exit_3(tmp_path, capsys, labels_text, named):
+    data, labels = tmp_path / "d.txt", tmp_path / "labels.txt"
+    data.write_text("0 1\n1 0\n")
+    labels.write_text(labels_text)
+    path = write_toy_config(tmp_path, test_dataset=None, train_dataset={
+        "kind": "text", "path": str(data), "labels_path": str(labels)})
+    assert main(["train", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert all(part in err for part in named)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evaluate", "--seed", "-1"),
+    ("evaluate", "--n-betas", "1"),
+    ("evaluate", "--n-chains", "0"),
+    ("evaluate", "--limit", "-1"),
+    ("evaluate", "--limit", "0"),
+    ("evaluate", "--toy-n-per-class", "0"),
+    ("generate", "--seed", "-1"),
+    ("generate", "-n", "0"),
+    ("generate", "--gibbs-steps", "0"),
+    ("generate", "--seed", "x"),
+    ("toy-demo", "--seed", "-1"),
+    ("toy-demo", "--n-h", "0"),
+])
+def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
+    model = tmp_path / "m.rbm"
+    save_model(model, init_params(6, 2, 0.1, rng()))
+    args = {"evaluate": ["--model", str(model), "--estimator", "exact", "--test-kind", "toy"],
+            "generate": ["--model", str(model), "-n", "3", "--out", str(tmp_path / "s.txt")],
+            "toy-demo": ["--n-per-class", "10"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 class TestCmdEvaluate:

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ocdgr import (
     ConfigError,
@@ -159,6 +161,76 @@ class TestLoadBinaryText:
     def test_dna_train_counts(self):
         batch = load_binary_text(os.environ["UCI_DNA_PATH"])
         assert len(batch) == 1400 and batch.n_v == 180
+
+
+def reference_load_binary_text(path):
+    """Token-by-token loader: the specification load_binary_text must match."""
+    rows = []
+    arity = None
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.startswith("#"):
+                continue
+            tokens = line.split()
+            if not tokens:
+                continue
+            if any(tok not in ("0", "1") for tok in tokens):
+                bad = next(tok for tok in tokens if tok not in ("0", "1"))
+                raise FormatError(f"{path}: non-binary token {bad!r} at line {lineno}")
+            if arity is None:
+                arity = len(tokens)
+            elif len(tokens) != arity:
+                raise FormatError(
+                    f"{path}: ragged line {lineno} has {len(tokens)} tokens, expected {arity}"
+                )
+            rows.append([int(tok) for tok in tokens])
+    if not rows:
+        raise FormatError(f"{path}: no data rows")
+    return np.array(rows, dtype=np.uint8)
+
+
+@st.composite
+def binary_texts(draw):
+    """Texts in the loader's format with faults mixed in: bad tokens, ragged rows.
+
+    Most lines are rows of one arity and most tokens are valid, so that many
+    texts parse and the rest fail at varied lines.
+    """
+    arity = draw(st.integers(1, 6))
+    token = st.sampled_from(["0", "1"] * 20 + ["2", "01", "1.0"])
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["ragged", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# header 0 1", "#2 2"])))
+        else:
+            n = arity if kind == "row" else draw(st.integers(1, 7))
+            sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append(pad + sep.join(draw(st.lists(token, min_size=n, max_size=n))) + pad)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+class TestLoadBinaryTextMatchesReference:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=binary_texts())
+    def test_same_rows_or_same_error(self, tmp_path, text):
+        f = tmp_path / "d.txt"
+        f.write_bytes(text.encode("ascii"))
+        try:
+            expected = reference_load_binary_text(f)
+        except FormatError as e:
+            with pytest.raises(FormatError) as got:
+                load_binary_text(f)
+            assert str(got.value) == str(e)
+            return
+        rows = load_binary_text(f).rows
+        assert rows.dtype == expected.dtype and rows.shape == expected.shape
+        assert (rows == expected).all()
 
 
 class TestToyGenerate:

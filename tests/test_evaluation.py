@@ -73,6 +73,19 @@ class TestExactLogZ:
         via_visible = logsumexp(-free_energy(p, all_states(8)))
         assert exact_log_z(p) == pytest.approx(via_visible, rel=1e-10)
 
+    @pytest.mark.parametrize("n_v, n_h", [(13, 40), (15, 15), (40, 14), (25, 15)])
+    def test_multi_block_matches_brute_force(self, n_v, n_h):
+        # widths of 13-15 bits span 2-8 enumeration blocks of 2^12 states
+        p = random_params(n_v, n_h, std=0.5, seed=n_v + n_h)
+        w, a, b = p.weights, p.visible_bias, p.hidden_bias
+        if n_v <= n_h:
+            states = all_states(n_v)
+            neg_fe = states @ a + np.logaddexp(0.0, states @ w.T + b).sum(axis=1)
+        else:
+            states = all_states(n_h)
+            neg_fe = states @ b + np.logaddexp(0.0, states @ w + a).sum(axis=1)
+        assert exact_log_z(p) == pytest.approx(logsumexp(neg_fe), rel=1e-12)
+
     def test_infeasible_size(self):
         p = init_params(30, 30, 0.0, rng())
         with pytest.raises(InfeasibleSizeError):

@@ -23,6 +23,7 @@ from ocdgr import (
     save_model,
     visible_probs,
 )
+from ocdgr.model import softplus
 
 from conftest import all_states, random_params, rng
 
@@ -99,6 +100,29 @@ class TestEnergy:
     def test_dimension_mismatch(self, tiny_params):
         with pytest.raises(DimensionError):
             energy(tiny_params, [1, 0], [1, 1, 0])
+
+
+class TestSoftplus:
+    EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0, 800.0, -800.0,
+                   np.inf, -np.inf]
+
+    @pytest.mark.parametrize("x", EDGE_VALUES)
+    def test_matches_logaddexp_within_2_ulp(self, x):
+        np.testing.assert_array_max_ulp(softplus(x), np.logaddexp(0.0, x), maxulp=2)
+
+    def test_array_matches_logaddexp_within_2_ulp(self):
+        x = np.concatenate([self.EDGE_VALUES, rng(5).normal(0.0, 40.0, 1000)])
+        out = softplus(x)
+        assert out.shape == x.shape
+        np.testing.assert_array_max_ulp(out, np.logaddexp(0.0, x), maxulp=2)
+
+    def test_nan_propagates(self):
+        assert np.isnan(softplus(np.nan))
+        assert np.isnan(softplus(np.array([0.0, np.nan]))).tolist() == [False, True]
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(softplus(1.5)) == 0
+        assert not isinstance(softplus(1.5), np.ndarray)
 
 
 class TestFreeEnergy:
