@@ -7,10 +7,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from .errors import DimensionError, DomainError, EmptyBatchError, InfeasibleSizeError, ScheduleError
-from .model import BinaryBatch, RbmParameters, free_energy, hidden_free_energy, sample_bernoulli, softplus
+from .model import (BinaryBatch, RbmParameters, _bernoulli, _sigmoid, free_energy,
+                    hidden_free_energy, softplus)
 
 # Largest layer that exact enumeration will attempt (2^25 states).
 EXACT_ENUM_LIMIT = 25
@@ -96,7 +97,7 @@ def ais_log_z(params: RbmParameters, schedule: AisSchedule, rng: np.random.Gener
     betas = schedule.betas
     log_z_base = params.n_h * np.log(2.0) + softplus(a).sum()
 
-    v = sample_bernoulli(np.broadcast_to(expit(a), (n, params.n_v)), rng).astype(np.float64)
+    v = _bernoulli(np.broadcast_to(_sigmoid(a.copy()), (n, params.n_v)), rng).astype(np.float64)
     log_w = np.zeros(n)
     prev_beta = betas[0]
     act = v @ w.T + b  # hidden pre-activations at the current v
@@ -105,8 +106,8 @@ def ais_log_z(params: RbmParameters, schedule: AisSchedule, rng: np.random.Gener
         log_w += softplus(beta * act).sum(axis=1) - softplus(prev_beta * act).sum(axis=1)
         if i < betas.size - 1:
             # one alternating Gibbs sweep at the current inverse temperature
-            h = sample_bernoulli(expit(beta * act), rng)
-            v = sample_bernoulli(expit(beta * (h @ w) + a), rng).astype(np.float64)
+            h = _bernoulli(_sigmoid(beta * act), rng)
+            v = _bernoulli(_sigmoid(beta * (h @ w) + a), rng).astype(np.float64)
             act = v @ w.T + b
         prev_beta = beta
 

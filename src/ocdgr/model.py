@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError, DomainError, FormatError
 
@@ -27,6 +26,14 @@ def softplus(x):
     element by element.
     """
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in place in the float64 array x; within 4 ulp of scipy's expit."""
+    with np.errstate(over="ignore"):  # x < -709: exp(-x) is inf and the result 0
+        np.exp(np.negative(x, out=x), out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -239,25 +246,40 @@ def _check_unit_interval(x, name: str):
         raise DomainError(f"{name} entries must lie in [0, 1]")
 
 
+# Unchecked kernel: callers check shape and range once. In place: a temporary costs more than exp.
+def _hidden_probs(params: RbmParameters, v: np.ndarray) -> np.ndarray:
+    act = v @ params.weights.T
+    return _sigmoid(np.add(act, params.hidden_bias, out=act))
+
+
+def _visible_probs(params: RbmParameters, h: np.ndarray) -> np.ndarray:
+    act = h @ params.weights
+    return _sigmoid(np.add(act, params.visible_bias, out=act))
+
+
+def _bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return (rng.random(probs.shape) < probs).view(np.uint8)
+
+
 def hidden_probs(params: RbmParameters, v):
     """P(h_j = 1 | v) = sigmoid(b_j + W_j. v); v may be real-valued in [0,1]."""
     v = _check_units(params, v, params.n_v, "v")
     _check_unit_interval(v, "v")
-    return expit(v @ params.weights.T + params.hidden_bias)
+    return _hidden_probs(params, v)
 
 
 def visible_probs(params: RbmParameters, h):
     """P(v_i = 1 | h) = sigmoid(a_i + (W'h)_i); h may be real-valued in [0,1]."""
     h = _check_units(params, h, params.n_h, "h")
     _check_unit_interval(h, "h")
-    return expit(h @ params.weights + params.visible_bias)
+    return _visible_probs(params, h)
 
 
 def sample_bernoulli(probs, rng: np.random.Generator) -> np.ndarray:
     """Independent Bernoulli draws, one per entry of probs."""
     probs = np.asarray(probs, dtype=np.float64)
     _check_unit_interval(probs, "probs")
-    return (rng.random(probs.shape) < probs).astype(np.uint8)
+    return _bernoulli(probs, rng)
 
 
 def _gibbs(params: RbmParameters, h, n_steps: int, rng: np.random.Generator):
@@ -265,12 +287,12 @@ def _gibbs(params: RbmParameters, h, n_steps: int, rng: np.random.Generator):
 
     Each step samples v from P(v | h), then h from P(h | v). Returns the
     final binary v, the hidden probabilities at that v, and the final
-    binary h. n_steps must be >= 1.
+    binary h. The caller checks n_steps >= 1 and the width and range of h.
     """
     for _ in range(n_steps):
-        v = sample_bernoulli(visible_probs(params, h), rng)
-        hp = hidden_probs(params, v)
-        h = sample_bernoulli(hp, rng)
+        v = _bernoulli(_visible_probs(params, h), rng)
+        hp = _hidden_probs(params, v)
+        h = _bernoulli(hp, rng)
     return v, hp, h
 
 
@@ -284,7 +306,9 @@ def gibbs_from_hidden(params: RbmParameters, h_init, n_steps: int, rng: np.rando
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    v, _, h = _gibbs(params, np.asarray(h_init, dtype=np.float64), n_steps, rng)
+    h = _check_units(params, h_init, params.n_h, "h")
+    _check_unit_interval(h, "h")
+    v, _, h = _gibbs(params, h, n_steps, rng)
     return v, h
 
 

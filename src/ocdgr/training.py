@@ -16,8 +16,10 @@ from .model import (
     BinaryBatch,
     Hyperparameters,
     RbmParameters,
+    _check_unit_interval,
+    _check_units,
     _gibbs,
-    hidden_probs,
+    _hidden_probs,
     sample_bernoulli,
 )
 
@@ -66,8 +68,9 @@ def positive_statistics(params: RbmParameters, batch: BinaryBatch):
     """
     if len(batch) == 0:
         raise EmptyBatchError("positive phase needs a non-empty batch")
-    v = batch.rows.astype(np.float64)
-    h = hidden_probs(params, v)
+    v = _check_units(params, batch.rows, params.n_v, "v")
+    _check_unit_interval(batch.rows, "v")  # on the uint8 rows: no float pass
+    h = _hidden_probs(params, v)
     stats = GradientStatistics(h.T @ v, v.sum(axis=0), h.sum(axis=0))
     return stats, h
 
@@ -82,7 +85,9 @@ def cd_negative_phase(params: RbmParameters, batch: BinaryBatch, h0_probs: np.nd
     """
     if n_cd < 1:
         raise DomainError("n_cd must be >= 1")
-    v, hp, _ = _gibbs(params, sample_bernoulli(h0_probs, rng), n_cd, rng)
+    h0 = sample_bernoulli(h0_probs, rng)
+    _check_units(params, h0, params.n_h, "h")
+    v, hp, _ = _gibbs(params, h0, n_cd, rng)
     vf = v.astype(np.float64)
     stats = GradientStatistics(hp.T @ vf, vf.sum(axis=0), hp.sum(axis=0))
     return stats, BinaryBatch(v)

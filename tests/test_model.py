@@ -1,5 +1,7 @@
 """Core model: parameters, energies, conditionals, sampling, persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from ocdgr import (
     save_model,
     visible_probs,
 )
-from ocdgr.model import softplus
+from ocdgr.model import _sigmoid, softplus
 
 from conftest import all_states, random_params, rng
 
@@ -123,6 +125,32 @@ class TestSoftplus:
     def test_scalar_in_scalar_out(self):
         assert np.ndim(softplus(1.5)) == 0
         assert not isinstance(softplus(1.5), np.ndarray)
+
+
+class TestSigmoid:
+    EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 709.8, -709.8, 745.0, -745.0,
+                   800.0, -800.0, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("bound", [40.0, 750.0])
+    def test_matches_expit_within_4_ulp(self, bound):
+        x = np.concatenate([self.EDGE_VALUES, rng(6).uniform(-bound, bound, 100_000)])
+        out = _sigmoid(x.copy())
+        np.testing.assert_array_max_ulp(out, expit(x), maxulp=4)
+        assert ((out >= 0.0) & (out <= 1.0)).all()
+
+    def test_in_place(self):
+        x = np.array([-1.0, 0.0, 2.0])
+        assert _sigmoid(x) is x
+        np.testing.assert_array_max_ulp(x, expit([-1.0, 0.0, 2.0]), maxulp=4)
+
+    def test_nan_propagates(self):
+        assert np.isnan(_sigmoid(np.array([0.0, np.nan]))).tolist() == [False, True]
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid(np.array(self.EDGE_VALUES + [np.nan]))
+        assert out[-3:-1].tolist() == [1.0, 0.0]
 
 
 class TestFreeEnergy:

@@ -5,6 +5,8 @@ import pytest
 
 from ocdgr import (
     BinaryBatch,
+    DimensionError,
+    DomainError,
     EmptyBatchError,
     GradientStatistics,
     Hyperparameters,
@@ -12,13 +14,18 @@ from ocdgr import (
     apply_update,
     cd_negative_phase,
     effective_momentum,
+    generate_replay,
+    gibbs_from_hidden,
     hidden_probs,
     init_params,
     positive_statistics,
     sample_bernoulli,
+    stream_train,
     train_offline,
     visible_probs,
 )
+from ocdgr.online import TRAINER_KINDS
+from ocdgr.training import _cd_step
 
 from conftest import all_states, random_params, rng
 
@@ -219,3 +226,83 @@ class TestTrainOffline:
                                 learning_rate=1e-300, weight_decay=0.0)
         trained = train_offline(p0, data, hyper, rng(73))
         assert trained.weights == pytest.approx(p0.weights, abs=1e-290)
+
+
+def checked_chain(params, h, n_steps, g):
+    """The Gibbs chain written with the public, checked functions."""
+    for _ in range(n_steps):
+        v = sample_bernoulli(visible_probs(params, h), g)
+        hp = hidden_probs(params, v)
+        h = sample_bernoulli(hp, g)
+    return v, hp
+
+
+class TestUncheckedKernel:
+    """The training and replay loops skip the checks but draw and compute the same bits."""
+
+    @pytest.mark.parametrize("n_v, n_h, n_gibbs", [(784, 25, 1), (784, 25, 3), (6, 3, 2)])
+    def test_generate_replay_matches_checked_chain(self, n_v, n_h, n_gibbs):
+        p = random_params(n_v, n_h, std=0.1, seed=81)
+        g = rng(82)
+        v, _ = checked_chain(p, g.random((300, n_h)), n_gibbs, g)
+        g_kernel = rng(82)
+        assert np.array_equal(generate_replay(p, 300, n_gibbs, g_kernel).rows, v)
+        assert g_kernel.random() == g.random()  # the same number of draws
+
+    @pytest.mark.parametrize("n_v, n_h, n_cd", [(784, 25, 1), (784, 25, 2), (6, 3, 3)])
+    def test_cd_step_matches_checked_functions(self, n_v, n_h, n_cd):
+        p = random_params(n_v, n_h, std=0.1, seed=83)
+        batch = BinaryBatch((rng(84).random((100, n_v)) < 0.3).astype(np.uint8))
+        hyper = Hyperparameters(n_v=n_v, n_h=n_h, n_cd=n_cd)
+        s = rng(85)
+        state = UpdateState(s.normal(size=(n_h, n_v)), s.normal(size=n_v), s.normal(size=n_h))
+        g_kernel = rng(86)
+        got, got_state = _cd_step(p, state, batch, hyper, 0.5, g_kernel)
+
+        pos, h0 = positive_statistics(p, batch)
+        assert np.array_equal(h0, hidden_probs(p, batch.rows))
+        g = rng(86)
+        v, hp = checked_chain(p, sample_bernoulli(h0, g), n_cd, g)
+        vf = v.astype(np.float64)
+        neg = GradientStatistics(hp.T @ vf, vf.sum(axis=0), hp.sum(axis=0))
+        want, want_state = apply_update(p, state, pos, neg, len(batch), hyper.learning_rate,
+                                        0.5, hyper.weight_decay, hyper.decay_biases)
+        for a, b in [(got.weights, want.weights), (got.visible_bias, want.visible_bias),
+                     (got.hidden_bias, want.hidden_bias),
+                     (got_state.delta_weights, want_state.delta_weights)]:
+            assert a.tobytes() == b.tobytes()
+        assert g_kernel.random() == g.random()
+
+
+class TestEntryPointChecks:
+    """Each public way into the unchecked kernel checks its input at its own entry."""
+
+    @pytest.mark.parametrize("kind", TRAINER_KINDS)
+    def test_stream_train_wrong_width(self, kind):
+        hyper = Hyperparameters(n_v=6, n_h=3, batch_size=10, replay_size=5)
+        stream = BinaryBatch(np.zeros((20, 7), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="v has trailing dimension 7, expected 6"):
+            stream_train(kind, stream, hyper, 10, rng())
+
+    def test_positive_statistics_wrong_width(self, tiny_params):
+        with pytest.raises(DimensionError, match="v has trailing dimension 5, expected 4"):
+            positive_statistics(tiny_params, BinaryBatch(np.zeros((2, 5), dtype=np.uint8)))
+
+    def test_positive_statistics_non_binary_rows(self, tiny_params):
+        batch = BinaryBatch(np.zeros((2, 4), dtype=np.uint8))
+        batch.rows[1, 2] = 2  # rows are a plain array, writable after validation
+        with pytest.raises(DomainError, match=r"v entries must lie in \[0, 1\]"):
+            positive_statistics(tiny_params, batch)
+
+    def test_cd_negative_phase_checks_h0_probs(self, tiny_params):
+        batch = BinaryBatch(np.zeros((2, 4), dtype=np.uint8))
+        with pytest.raises(DomainError, match=r"probs entries must lie in \[0, 1\]"):
+            cd_negative_phase(tiny_params, batch, np.full((2, 3), 1.5), 1, rng())
+        with pytest.raises(DimensionError, match="h has trailing dimension 2, expected 3"):
+            cd_negative_phase(tiny_params, batch, np.full((2, 2), 0.5), 1, rng())
+
+    def test_gibbs_from_hidden_checks_h_init(self, tiny_params):
+        with pytest.raises(DomainError, match=r"h entries must lie in \[0, 1\]"):
+            gibbs_from_hidden(tiny_params, np.array([0.5, 1.5, 0.0]), 1, rng())
+        with pytest.raises(DimensionError, match="h has trailing dimension 2, expected 3"):
+            gibbs_from_hidden(tiny_params, np.full(2, 0.5), 1, rng())
