@@ -14,6 +14,7 @@ import numpy as np
 from .data import StreamOrder, binarize, load_binary_text, load_idx, toy_generate
 from .errors import ConfigError, DimensionError, DomainError, FormatError
 from .model import BinaryBatch, Hyperparameters
+from .online import TRAINER_KINDS
 
 
 def derive_rng(master_seed: int, label: str) -> np.random.Generator:
@@ -49,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_kind("config", "master_seed", self.master_seed, int, minimum=0)
         _check_kind("config", "checkpoint_every", self.checkpoint_every, int, minimum=1)
+        if self.trainer not in TRAINER_KINDS:
+            raise ConfigError(f"unknown trainer {self.trainer!r}, expected one of {TRAINER_KINDS}")
         ais = self.ais if isinstance(self.ais, dict) else {"preset": self.ais}
         if set(ais) - {"preset", "n_betas", "n_chains"} or ais.get("preset", "paper") != "paper":
             raise ConfigError(f"ais must be \"paper\" or an object of \"n_betas\" and "
@@ -74,7 +77,7 @@ class ExperimentConfig:
                 raw = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object, "

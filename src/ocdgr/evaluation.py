@@ -73,7 +73,7 @@ def exact_log_z(params: RbmParameters) -> float:
     if min(params.n_v, params.n_h) > EXACT_ENUM_LIMIT:
         raise InfeasibleSizeError(
             f"exact log Z needs min(n_v, n_h) <= {EXACT_ENUM_LIMIT}, "
-            f"got {params.n_v} x {params.n_h}; use AIS instead"
+            f"got {params.n_v} x {params.n_h}; estimate it with ais_log_z instead"
         )
     if params.n_v <= params.n_h:
         width, fe = params.n_v, lambda s: free_energy(params, s)

@@ -180,18 +180,6 @@ class BinaryBatch:
         labels = None if self.labels is None else self.labels[indices]
         return BinaryBatch(self.rows[indices], labels)
 
-    @staticmethod
-    def concat(parts: list["BinaryBatch"]) -> "BinaryBatch":
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            raise DomainError("cannot concatenate zero non-empty batches")
-        rows = np.vstack([p.rows for p in parts])
-        if all(p.labels is not None for p in parts):
-            labels = np.concatenate([p.labels for p in parts])
-        else:
-            labels = None
-        return BinaryBatch(rows, labels)
-
 
 def init_params(n_v: int, n_h: int, init_std: float, rng: np.random.Generator) -> RbmParameters:
     """Draw all parameters i.i.d. from N(0, init_std)."""
@@ -203,7 +191,7 @@ def init_params(n_v: int, n_h: int, init_std: float, rng: np.random.Generator) -
     return RbmParameters(w, a, b)
 
 
-def _check_units(params: RbmParameters, x, n_expected: int, name: str) -> np.ndarray:
+def _check_units(x, n_expected: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != n_expected:
         raise DimensionError(
@@ -214,8 +202,8 @@ def _check_units(params: RbmParameters, x, n_expected: int, name: str) -> np.nda
 
 def energy(params: RbmParameters, v, h) -> float:
     """Joint energy -a'v - b'h - h'Wv of a (visible, hidden) state."""
-    v = _check_units(params, v, params.n_v, "v")
-    h = _check_units(params, h, params.n_h, "h")
+    v = _check_units(v, params.n_v, "v")
+    h = _check_units(h, params.n_h, "h")
     return float(
         -params.visible_bias @ v - params.hidden_bias @ h - h @ params.weights @ v
     )
@@ -227,7 +215,7 @@ def free_energy(params: RbmParameters, v):
     Accepts a single vector or a matrix of rows; returns a scalar or a
     vector accordingly. Stable for arbitrarily large pre-activations.
     """
-    v = _check_units(params, v, params.n_v, "v")
+    v = _check_units(v, params.n_v, "v")
     act = v @ params.weights.T + params.hidden_bias
     fe = -(v @ params.visible_bias) - softplus(act).sum(axis=-1)
     return float(fe) if fe.ndim == 0 else fe
@@ -235,7 +223,7 @@ def free_energy(params: RbmParameters, v):
 
 def hidden_free_energy(params: RbmParameters, h):
     """Free energy of the hidden layer, -b'h - sum_i softplus(a_i + (W'h)_i)."""
-    h = _check_units(params, h, params.n_h, "h")
+    h = _check_units(h, params.n_h, "h")
     act = h @ params.weights + params.visible_bias
     fe = -(h @ params.hidden_bias) - softplus(act).sum(axis=-1)
     return float(fe) if fe.ndim == 0 else fe
@@ -263,14 +251,14 @@ def _bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def hidden_probs(params: RbmParameters, v):
     """P(h_j = 1 | v) = sigmoid(b_j + W_j. v); v may be real-valued in [0,1]."""
-    v = _check_units(params, v, params.n_v, "v")
+    v = _check_units(v, params.n_v, "v")
     _check_unit_interval(v, "v")
     return _hidden_probs(params, v)
 
 
 def visible_probs(params: RbmParameters, h):
     """P(v_i = 1 | h) = sigmoid(a_i + (W'h)_i); h may be real-valued in [0,1]."""
-    h = _check_units(params, h, params.n_h, "h")
+    h = _check_units(h, params.n_h, "h")
     _check_unit_interval(h, "h")
     return _visible_probs(params, h)
 
@@ -306,7 +294,7 @@ def gibbs_from_hidden(params: RbmParameters, h_init, n_steps: int, rng: np.rando
     """
     if n_steps < 1:
         raise DomainError("n_steps must be >= 1")
-    h = _check_units(params, h_init, params.n_h, "h")
+    h = _check_units(h_init, params.n_h, "h")
     _check_unit_interval(h, "h")
     v, _, h = _gibbs(params, h, n_steps, rng)
     return v, h
@@ -355,6 +343,10 @@ def load_model(path):
     version, n_v, n_h = struct.unpack_from("<III", data, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported format version {version}")
+    for name, count, at in (("n_v", n_v, 8), ("n_h", n_h, 12)):
+        if count == 0:
+            raise FormatError(f"{path}: {name} is 0 at offset {at}, "
+                              f"a model needs at least one unit")
     off = _HEADER_BYTES
     n_values = n_h * n_v + n_v + n_h
     need = off + 8 * n_values + 4
@@ -380,7 +372,7 @@ def load_model(path):
     if blob_len:
         try:
             meta = json.loads(data[off:off + blob_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
             raise FormatError(f"{path}: metadata block at offset {off} is not UTF-8 JSON: {e}")
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: metadata block at offset {off} is not a JSON object")

@@ -8,7 +8,7 @@ states, the er variants draw it from a buffer of past observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -129,16 +129,14 @@ class OnlineTrainerState:
 
     params: RbmParameters
     update_state: UpdateState
-    pending: list = field(default_factory=list)  # rows awaiting the next update, or a 2-d array
+    pending: np.ndarray  # (rows, n_v) uint8: rows awaiting the next update
     t: int = 1
     observed_count: int = 0
 
     @classmethod
     def fresh(cls, params: RbmParameters) -> "OnlineTrainerState":
-        return cls(params, UpdateState.zeros(params.n_v, params.n_h))
-
-    def pending_batch(self) -> BinaryBatch:
-        return BinaryBatch(np.array(self.pending, dtype=np.uint8))
+        return cls(params, UpdateState.zeros(params.n_v, params.n_h),
+                   np.empty((0, params.n_v), dtype=np.uint8))
 
     def live_scalar_count(self, memory: Optional[ReplayMemory] = None) -> int:
         """Scalars held live: parameters, momentum buffer, pending rows, memory."""
@@ -150,16 +148,17 @@ class OnlineTrainerState:
 
 
 def _update_procedure(state: OnlineTrainerState, replayed: Optional[BinaryBatch],
-                      hyper: Hyperparameters, rng: np.random.Generator):
+                      hyper: Hyperparameters, rng: np.random.Generator) -> OnlineTrainerState:
     """The update procedure every trainer runs: CD epochs on the pending rows plus replay.
 
-    Returns (new state, observed batch). The new state has an empty
-    pending list and t advanced by one; the momentum buffer carries over.
+    The new state has no pending rows and t advanced by one; the momentum
+    buffer carries over.
     """
-    observed = state.pending_batch()
-    batch = BinaryBatch.concat([observed] if replayed is None else [observed, replayed])
-    params, update_state = cd_update_epochs(state.params, state.update_state, batch, hyper, rng)
-    return OnlineTrainerState(params, update_state, [], state.t + 1, state.observed_count), observed
+    rows = state.pending if replayed is None else np.vstack([state.pending, replayed.rows])
+    params, update_state = cd_update_epochs(state.params, state.update_state, BinaryBatch(rows),
+                                            hyper, rng)
+    return OnlineTrainerState(params, update_state, state.pending[:0], state.t + 1,
+                              state.observed_count)
 
 
 def ocdgr_update_procedure(state: OnlineTrainerState, hyper: Hyperparameters,
@@ -175,22 +174,21 @@ def ocdgr_update_procedure(state: OnlineTrainerState, hyper: Hyperparameters,
     replayed = None
     if state.t > 1 and hyper.replay_size > 0:
         replayed = generate_replay(state.params, hyper.replay_size, hyper.n_gibbs, rng)
-    return _update_procedure(state, replayed, hyper, rng)[0]
+    return _update_procedure(state, replayed, hyper, rng)
 
 
 def er_update_procedure(state: OnlineTrainerState, memory: ReplayMemory,
-                        hyper: Hyperparameters, rng: np.random.Generator):
+                        hyper: Hyperparameters, rng: np.random.Generator) -> OnlineTrainerState:
     """Experience-replay update: replay is drawn from memory instead of generated.
 
     After the update the newly observed points are inserted into memory
-    (FIFO eviction when bounded). Returns (new state, memory).
+    (FIFO eviction when bounded), which is changed in place.
     """
     if not len(state.pending):
-        return state, memory
-    new_state, observed = _update_procedure(state, memory.sample(hyper.replay_size, rng),
-                                            hyper, rng)
-    memory.insert_batch(observed)
-    return new_state, memory
+        return state
+    new_state = _update_procedure(state, memory.sample(hyper.replay_size, rng), hyper, rng)
+    memory.insert_batch(BinaryBatch(state.pending))
+    return new_state
 
 
 @dataclass
@@ -251,7 +249,7 @@ def _run_procedure(state: OnlineTrainerState, memory: Optional[ReplayMemory],
     try:
         if memory is None:
             return ocdgr_update_procedure(state, hyper, rng)
-        return er_update_procedure(state, memory, hyper, rng)[0]
+        return er_update_procedure(state, memory, hyper, rng)
     except DomainError as e:
         raise DomainError(f"update procedure t={state.t} failed after "
                           f"{state.observed_count} observations: {e}") from e

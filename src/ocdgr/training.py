@@ -45,7 +45,6 @@ class UpdateState:
     delta_weights: np.ndarray
     delta_visible: np.ndarray
     delta_hidden: np.ndarray
-    epoch_index: int = 0
 
     @classmethod
     def zeros(cls, n_v: int, n_h: int) -> "UpdateState":
@@ -53,10 +52,7 @@ class UpdateState:
 
     def copy(self) -> "UpdateState":
         return UpdateState(
-            self.delta_weights.copy(),
-            self.delta_visible.copy(),
-            self.delta_hidden.copy(),
-            self.epoch_index,
+            self.delta_weights.copy(), self.delta_visible.copy(), self.delta_hidden.copy()
         )
 
 
@@ -68,7 +64,7 @@ def positive_statistics(params: RbmParameters, batch: BinaryBatch):
     """
     if len(batch) == 0:
         raise EmptyBatchError("positive phase needs a non-empty batch")
-    v = _check_units(params, batch.rows, params.n_v, "v")
+    v = _check_units(batch.rows, params.n_v, "v")
     _check_unit_interval(batch.rows, "v")  # on the uint8 rows: no float pass
     h = _hidden_probs(params, v)
     stats = GradientStatistics(h.T @ v, v.sum(axis=0), h.sum(axis=0))
@@ -76,21 +72,19 @@ def positive_statistics(params: RbmParameters, batch: BinaryBatch):
 
 
 def cd_negative_phase(params: RbmParameters, batch: BinaryBatch, h0_probs: np.ndarray,
-                      n_cd: int, rng: np.random.Generator):
+                      n_cd: int, rng: np.random.Generator) -> GradientStatistics:
     """Model-side statistics from an n_cd-step Gibbs chain started at the data.
 
     The chain states are sampled binary; the final statistics pair the
     sampled visible state with the hidden *probabilities* at that state.
-    Returns (stats, final visible batch).
     """
     if n_cd < 1:
         raise DomainError("n_cd must be >= 1")
     h0 = sample_bernoulli(h0_probs, rng)
-    _check_units(params, h0, params.n_h, "h")
+    _check_units(h0_probs, params.n_h, "h")
     v, hp, _ = _gibbs(params, h0, n_cd, rng)
     vf = v.astype(np.float64)
-    stats = GradientStatistics(hp.T @ vf, vf.sum(axis=0), hp.sum(axis=0))
-    return stats, BinaryBatch(v)
+    return GradientStatistics(hp.T @ vf, vf.sum(axis=0), hp.sum(axis=0))
 
 
 def effective_momentum(epoch_index: int, hyper: Hyperparameters) -> float:
@@ -124,14 +118,14 @@ def apply_update(params: RbmParameters, state: UpdateState,
     new_params = RbmParameters(
         params.weights + dw, params.visible_bias + da, params.hidden_bias + db
     )
-    return new_params, UpdateState(dw, da, db, state.epoch_index + 1)
+    return new_params, UpdateState(dw, da, db)
 
 
 def _cd_step(params: RbmParameters, state: UpdateState, batch: BinaryBatch,
              hyper: Hyperparameters, momentum: float, rng: np.random.Generator):
     """One CD-n_cd update on one batch; returns (new params, new state)."""
     pos, h0 = positive_statistics(params, batch)
-    neg, _ = cd_negative_phase(params, batch, h0, hyper.n_cd, rng)
+    neg = cd_negative_phase(params, batch, h0, hyper.n_cd, rng)
     return apply_update(params, state, pos, neg, len(batch), hyper.learning_rate,
                         momentum, hyper.weight_decay, hyper.decay_biases)
 

@@ -7,6 +7,7 @@ out of its class body, or a kernel dropped from the training path makes a
 """
 
 import importlib.util
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +62,29 @@ def test_traced_stream_train(tracing, kind):
         assert calls["online.memory_insert.calls"] == 3
     assert set(tracer.self_times()) <= {name for _, _, name in tracing.TRACED}
     assert online.ReplayMemory.sample is originals[(online.ReplayMemory, "sample")]
+
+
+def test_traced_evaluation_and_loaders(tracing, tmp_path):
+    """Every counter outside training reads its arguments and counts work."""
+    params = ocdgr.init_params(6, 3, 0.1, rng(3))
+    protos = ocdgr.BinaryBatch(np.eye(6, dtype=np.uint8), labels=np.arange(6))
+    text = tmp_path / "rows.txt"
+    text.write_text("0 1 1\n1 0 0\n")
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">iiii", 0x803, 2, 2, 2) + bytes(range(8)))
+    labels.write_bytes(struct.pack(">ii", 0x801, 2) + bytes([3, 4]))
+
+    tracer = tracing.Tracer()
+    with tracer:
+        ocdgr.ais_log_z(params, ocdgr.AisSchedule.uniform(5, 4), rng(4))
+        ocdgr.exact_log_z(params)
+        ocdgr.knn_classify(protos, protos.take([0, 2]), 1)
+        ocdgr.load_binary_text(text)
+        ocdgr.load_idx(images, labels)
+
+    for name in ("evaluation.ais_log_z", "evaluation.exact_log_z", "evaluation.knn_classify",
+                 "data.load_binary_text", "data.load_idx"):
+        assert name in tracing.COUNTERS
+        work = {k: v for k, v in tracer.counts.items()
+                if k.startswith(name + ".") and not k.endswith(".calls")}
+        assert work and all(v > 0 for v in work.values()), name

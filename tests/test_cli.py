@@ -79,6 +79,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(master_seed=0, trainer="ocdgr",
                              train_dataset={"kind": "toy"}, stream_order="bogus")
+        with pytest.raises(ConfigError, match="unknown trainer 'bogus'"):
+            ExperimentConfig(master_seed=0, trainer="bogus", train_dataset={"kind": "toy"})
+
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text("[" * 200_000)
+        assert main(["train", "--config", str(path)]) == 2
+        assert "c.json is not valid JSON" in capsys.readouterr().err
 
 
 class TestLoadDataset:
@@ -234,13 +242,21 @@ def test_train_bad_labels_file_exit_3(tmp_path, capsys, labels_text, named):
     ("generate", "--seed", "x"),
     ("toy-demo", "--seed", "-1"),
     ("toy-demo", "--n-h", "0"),
+    ("train", "--seed", "-1"),
+    ("train", "--seed", "x"),
+    ("train", "--checkpoint-every", "0"),
+    ("compare", "--seed", "-1"),
+    ("compare", "--trainers", "bogus"),
 ])
 def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
     model = tmp_path / "m.rbm"
     save_model(model, init_params(6, 2, 0.1, rng()))
+    config = write_toy_config(tmp_path)
     args = {"evaluate": ["--model", str(model), "--estimator", "exact", "--test-kind", "toy"],
             "generate": ["--model", str(model), "-n", "3", "--out", str(tmp_path / "s.txt")],
-            "toy-demo": ["--n-per-class", "10"]}[command]
+            "toy-demo": ["--n-per-class", "10"],
+            "train": ["--config", str(config)],
+            "compare": ["--config", str(config), "--out", str(tmp_path / "c.csv")]}[command]
     with pytest.raises(SystemExit) as exit_info:
         main([command, *args, flag, value])
     assert exit_info.value.code == 2
@@ -268,6 +284,15 @@ class TestCmdEvaluate:
                      "--test-kind", "toy", "--toy-n-per-class", "5"])
         assert code == 4
         assert "ais" in capsys.readouterr().err
+
+    def test_width_mismatch_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "m.rbm"
+        save_model(model, init_params(7, 3, 0.1, rng()))
+        code = main(["evaluate", "--model", str(model), "--estimator", "exact",
+                     "--test-kind", "toy", "--toy-n-per-class", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "width 100" in err and "m.rbm has n_v = 7" in err
 
     def test_ais_close_to_exact(self, tmp_path, capsys):
         params = init_params(100, 8, 0.05, rng(2))
@@ -310,6 +335,16 @@ class TestCmdGenerate:
                 "evaluate": ["--test-kind", "toy"]}[command]
         assert main([command, "--model", str(model), *args]) == 3
         assert "m.rbm: metadata block at offset" in capsys.readouterr().err
+
+    def test_deeply_nested_model_metadata_exit_3(self, tmp_path, capsys):
+        model = tmp_path / "m.rbm"
+        save_model(model, init_params(6, 2, 0.1, rng()))
+        data = model.read_bytes()  # metadata "{}" ends the file
+        blob = b"[" * 200_000
+        model.write_bytes(data[:-6] + len(blob).to_bytes(4, "little") + blob)
+        assert main(["generate", "--model", str(model), "-n", "3",
+                     "--out", str(tmp_path / "s.txt")]) == 3
+        assert f"m.rbm: metadata block at offset {len(data) - 2}" in capsys.readouterr().err
 
 
 class TestCmdCompare:

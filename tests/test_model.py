@@ -1,5 +1,6 @@
 """Core model: parameters, energies, conditionals, sampling, persistence."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -318,12 +319,11 @@ class TestBinaryBatch:
         with pytest.raises(DimensionError):
             BinaryBatch(np.zeros((3, 2), dtype=np.uint8), labels=[1, 2])
 
-    def test_take_and_concat(self):
+    def test_take(self):
         b = BinaryBatch(np.eye(3, dtype=np.uint8), labels=[5, 6, 7])
         sub = b.take([2, 0])
         assert (sub.labels == [7, 5]).all()
-        joined = BinaryBatch.concat([sub, b])
-        assert len(joined) == 5 and joined.n_v == 3
+        assert (sub.rows == [[0, 0, 1], [1, 0, 0]]).all() and sub.n_v == 3
 
 
 class TestHyperparameters:
@@ -400,6 +400,20 @@ class TestPersistence:
         path, data = self.saved_bytes(tmp_path)
         path.write_bytes(data[:168] + len(blob).to_bytes(4, "little") + blob)
         with pytest.raises(FormatError, match=f"{path.name}: metadata block at offset 172"):
+            load_model(path)
+
+    @pytest.mark.parametrize("n_v, n_h, named", [
+        (0, 3, "n_v is 0 at offset 8"),
+        (4, 0, "n_h is 0 at offset 12"),
+        (0, 0, "n_v is 0 at offset 8"),
+    ])
+    def test_zero_units_rejected(self, tmp_path, n_v, n_h, named):
+        # otherwise well formed: every parameter present, empty metadata block
+        path = tmp_path / "m.rbm"
+        n_values = n_h * n_v + n_v + n_h
+        path.write_bytes(b"RBMF" + struct.pack("<III", 1, n_v, n_h)
+                         + bytes(8 * n_values) + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match=f"{path.name}: {named}"):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

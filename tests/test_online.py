@@ -218,26 +218,27 @@ class TestUpdateProcedures:
         hyper = Hyperparameters(n_v=6, n_h=4, n_epochs=1, batch_size=10,
                                 momentum=0.0, momentum_warmup=0.0, weight_decay=0.0)
         state = OnlineTrainerState.fresh(p0)
-        state.pending = list(batch.rows)
+        state.pending = batch.rows
         out = ocdgr_update_procedure(state, hyper, rng(13))
         g = rng(13)
         pos, h0 = positive_statistics(p0, batch)
-        neg, _ = cd_negative_phase(p0, batch, h0, 1, g)
+        neg = cd_negative_phase(p0, batch, h0, 1, g)
         manual, _ = apply_update(p0, UpdateState.zeros(6, 4), pos, neg, 10,
                                  hyper.learning_rate, 0.0, 0.0)
         assert (out.params.weights == manual.weights).all()
-        assert out.t == 2 and out.pending == []
+        assert out.t == 2 and out.pending.shape == (0, 6)
 
     def test_er_first_procedure_matches_ocdgr_first(self):
         p0 = random_params(6, 4, seed=14)
         batch = make_batch(10, 6, 15)
         hyper = Hyperparameters(n_v=6, n_h=4, n_epochs=2, batch_size=10)
         s1 = OnlineTrainerState.fresh(p0)
-        s1.pending = list(batch.rows)
+        s1.pending = batch.rows
         s2 = OnlineTrainerState.fresh(p0)
-        s2.pending = list(batch.rows)
+        s2.pending = batch.rows
+        mem = ReplayMemory(None)
         a = ocdgr_update_procedure(s1, hyper, rng(16))
-        b, mem = er_update_procedure(s2, ReplayMemory(None), hyper, rng(16))
+        b = er_update_procedure(s2, mem, hyper, rng(16))
         assert (a.params.weights == b.params.weights).all()
         assert len(mem) == 10  # observed points stored afterwards
 
@@ -249,14 +250,14 @@ class TestUpdateProcedures:
 
         def warmup(history_seed):
             st = OnlineTrainerState.fresh(p0)
-            st.pending = list(make_batch(10, 8, history_seed).rows)
+            st.pending = make_batch(10, 8, history_seed).rows
             return ocdgr_update_procedure(st, hyper, rng(history_seed))
 
         a, b = warmup(100), warmup(200)  # different histories
         shared = make_batch(10, 8, 18)
         # overwrite both states with identical inputs
         for st in (a, b):
-            st.pending = list(shared.rows)
+            st.pending = shared.rows
         a.params, a.update_state = b.params, b.update_state.copy()
         ra = ocdgr_update_procedure(a, hyper, rng(19))
         rb = ocdgr_update_procedure(b, hyper, rng(19))
@@ -275,8 +276,8 @@ class TestUpdateProcedures:
             mem.insert_batch(make_batch(30, 8, mem_seed))
             st = OnlineTrainerState.fresh(p0)
             st.t = 2
-            st.pending = list(shared.rows)
-            out, _ = er_update_procedure(st, mem, hyper, rng(22))
+            st.pending = shared.rows
+            out = er_update_procedure(st, mem, hyper, rng(22))
             results.append(out.params.weights)
         assert not (results[0] == results[1]).all()
 
@@ -369,19 +370,20 @@ def per_row_stream_train(kind, stream, hyper, checkpoint_every, g, initial_param
     def update(st):
         if memory is None:
             return ocdgr_update_procedure(st, hyper, g)
-        return er_update_procedure(st, memory, hyper, g)[0]
+        return er_update_procedure(st, memory, hyper, g)
 
-    snapshots = []
+    snapshots, rows = [], []
     for row in stream.rows:
-        state.pending.append(row)
+        rows.append(row)
+        state.pending = np.array(rows, dtype=np.uint8)
         state.observed_count += 1
-        if len(state.pending) == hyper.batch_size:
-            state = update(state)
+        if len(rows) == hyper.batch_size:
+            state, rows = update(state), []
         if state.observed_count % checkpoint_every == 0:
             snapshots.append((state.observed_count, state.t,
                               0 if memory is None else len(memory),
                               state.live_scalar_count(memory), param_bytes(state.params)))
-    if state.pending:
+    if rows:
         state = update(state)
     return param_bytes(state.params), snapshots
 
