@@ -73,11 +73,12 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides: Optional[dict] = None) -> "ExperimentConfig":
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except (json.JSONDecodeError, RecursionError) as e:
+        # ValueError covers bad UTF-8, bad JSON and an int of over 4,300 digits
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object, "

@@ -25,7 +25,14 @@ def softplus(x):
     uses, as whole-array ufunc passes that numpy vectorises; logaddexp loops
     element by element.
     """
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    x = np.array(x, dtype=np.float64)  # a copy, which _softplus overwrites
+    return _softplus(x, np.empty_like(x))[()]
+
+
+def _softplus(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """softplus in place in the float array x; tmp, of x's shape, is overwritten."""
+    np.log1p(np.exp(np.negative(np.abs(x, out=tmp), out=tmp), out=tmp), out=tmp)
+    return np.add(np.maximum(x, 0.0, out=x), tmp, out=x)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -372,7 +379,8 @@ def load_model(path):
     if blob_len:
         try:
             meta = json.loads(data[off:off + blob_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        # ValueError covers bad UTF-8, bad JSON and an int of over 4,300 digits
+        except (ValueError, RecursionError) as e:
             raise FormatError(f"{path}: metadata block at offset {off} is not UTF-8 JSON: {e}")
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: metadata block at offset {off} is not a JSON object")

@@ -1,6 +1,7 @@
 """Partition functions, log-probability reports, and k-NN scoring."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ocdgr import (
     toy_generate,
 )
 from ocdgr import test_log_prob_report as log_prob_report  # avoid pytest collection
+from ocdgr.model import _bernoulli, _sigmoid, softplus
 from scipy.special import logsumexp
 
 from conftest import all_states, random_params, rng
@@ -73,18 +75,48 @@ class TestExactLogZ:
         via_visible = logsumexp(-free_energy(p, all_states(8)))
         assert exact_log_z(p) == pytest.approx(via_visible, rel=1e-10)
 
+    @staticmethod
+    def brute_force(p):
+        """logsumexp of -F over every state of the smaller layer, 2^12 states at a time."""
+        w, a, b = p.weights, p.visible_bias, p.hidden_bias
+        if p.n_v <= p.n_h:
+            states, w, bias_enum, bias_other = all_states(p.n_v), w.T, a, b
+        else:
+            states, bias_enum, bias_other = all_states(p.n_h), b, a
+        neg_fe = [s @ bias_enum + np.logaddexp(0.0, s @ w + bias_other).sum(axis=1)
+                  for s in np.split(states, range(1 << 12, len(states), 1 << 12))]
+        return logsumexp(np.concatenate(neg_fe))
+
     @pytest.mark.parametrize("n_v, n_h", [(13, 40), (15, 15), (40, 14), (25, 15)])
     def test_multi_block_matches_brute_force(self, n_v, n_h):
-        # widths of 13-15 bits span 2-8 enumeration blocks of 2^12 states
+        # 13-15 enumerated bits against 15-40 other units span 8-16 blocks of 2^10-2^12 states
         p = random_params(n_v, n_h, std=0.5, seed=n_v + n_h)
-        w, a, b = p.weights, p.visible_bias, p.hidden_bias
-        if n_v <= n_h:
-            states = all_states(n_v)
-            neg_fe = states @ a + np.logaddexp(0.0, states @ w.T + b).sum(axis=1)
-        else:
-            states = all_states(n_h)
-            neg_fe = states @ b + np.logaddexp(0.0, states @ w + a).sum(axis=1)
-        assert exact_log_z(p) == pytest.approx(logsumexp(neg_fe), rel=1e-12)
+        assert exact_log_z(p) == pytest.approx(self.brute_force(p), rel=1e-12)
+
+    def test_wide_other_layer_matches_brute_force(self):
+        # 784 other units: blocks of 2^6 states, 256 blocks
+        p = random_params(784, 14, std=0.1, seed=11)
+        assert exact_log_z(p) == pytest.approx(self.brute_force(p), rel=1e-12)
+
+    @pytest.mark.parametrize("n_v, n_h", [(10, 6), (6, 10)])
+    def test_extreme_parameters(self, n_v, n_h):
+        # pre-activations reach +-1,000: |bias| <= 500 plus up to 10 weights of |w| <= 50
+        g = rng(12)
+        p = RbmParameters(g.uniform(-50, 50, (n_h, n_v)), g.uniform(-500, 500, n_v),
+                          g.uniform(-500, 500, n_h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = exact_log_z(p)
+        assert got == pytest.approx(self.brute_force(p), rel=1e-12)
+
+    @pytest.mark.parametrize("n_v, n_h", [(5, 0), (0, 4)])
+    def test_empty_enumerated_layer(self, n_v, n_h):
+        # one state, the empty one: log Z is the other layer's factorized sum
+        g = rng(13)
+        a, b = g.normal(size=n_v), g.normal(size=n_h)
+        p = RbmParameters(np.zeros((n_h, n_v)), a, b)
+        other = a if n_h == 0 else b
+        assert exact_log_z(p) == pytest.approx(softplus(other).sum(), rel=1e-15)
 
     def test_infeasible_size(self):
         p = init_params(30, 30, 0.0, rng())
@@ -98,6 +130,27 @@ class TestExactLogZ:
         assert abs(total - 1.0) < 1e-8
 
 
+def ais_reference(params, schedule, rng):
+    """ais_log_z computed with fresh arrays: the bit-identity reference for its in-place steps."""
+    a, b, w = params.visible_bias, params.hidden_bias, params.weights
+    n, betas = schedule.n_chains, schedule.betas
+    log_z_base = params.n_h * np.log(2.0) + softplus(a).sum()
+    v = _bernoulli(np.broadcast_to(_sigmoid(a.copy()), (n, params.n_v)), rng).astype(np.float64)
+    log_w = np.zeros(n)
+    prev_beta = betas[0]
+    act = v @ w.T + b
+    for i, beta in enumerate(betas[1:], start=1):
+        log_w += softplus(beta * act).sum(axis=1) - softplus(prev_beta * act).sum(axis=1)
+        if i < betas.size - 1:
+            h = _bernoulli(_sigmoid(beta * act), rng)
+            v = _bernoulli(_sigmoid(beta * (h @ w) + a), rng).astype(np.float64)
+            act = v @ w.T + b
+        prev_beta = beta
+    log_mean_w = logsumexp(log_w) - np.log(n)
+    u = np.exp(log_w - log_mean_w)
+    return float(log_z_base + log_mean_w), float(u.std(ddof=1) / np.sqrt(n))
+
+
 class TestAisLogZ:
     def test_degenerate_anneal_is_exact(self):
         # base model equals the target: every importance weight is exactly 1
@@ -106,6 +159,12 @@ class TestAisLogZ:
         est, std = ais_log_z(p, AisSchedule.uniform(50, 20), rng(5))
         assert std == 0.0
         assert est == pytest.approx(exact_log_z(p), rel=1e-12)
+
+    @pytest.mark.parametrize("n_v, n_h, n_betas, n_chains", [(784, 25, 200, 50), (6, 3, 100, 20)])
+    def test_bit_identical_to_reference_loop(self, n_v, n_h, n_betas, n_chains):
+        p = random_params(n_v, n_h, std=0.3, seed=n_v)
+        schedule = AisSchedule.uniform(n_betas, n_chains)
+        assert ais_log_z(p, schedule, rng(14)) == ais_reference(p, schedule, rng(14))
 
     def test_small_rbm_oracle(self):
         p = random_params(10, 8, std=0.1, seed=6)
