@@ -14,20 +14,22 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, derive_rng, load_dataset, stream_order_for
-from .data import order_stream, toy_generate
+from .config import ExperimentConfig, ais_schedule, derive_rng, load_dataset, stream_order_for
+from .data import StreamOrder, order_stream, toy_generate
 from .errors import ConfigError, FormatError, InfeasibleSizeError, OcdgrError
 from .evaluation import (
     AisSchedule,
+    EvaluationReport,
     class_histogram,
     exact_log_z,
     ais_log_z,
     test_log_prob_report,
 )
-from .model import BinaryBatch, Hyperparameters, load_model, save_model
+from .model import BinaryBatch, Hyperparameters, RbmParameters, load_model, save_model
 from .online import TRAINER_KINDS, generate_replay, stream_train
 
 # Published final mean test log-probabilities on MNIST (500 hidden units,
@@ -37,79 +39,70 @@ REFERENCE_FINAL_LOG_PROB = {"ocdgr": -114.52, "er_im": -151.67, "er_ml": -167.11
 REFERENCE_SOURCE = "published reference: MNIST, n_h=500, n_CD=1, random order (not asserted)"
 
 
-def _schedule_from_spec(spec) -> AisSchedule:
-    """Schedule for an ais spec already checked by ExperimentConfig: "paper" or an object."""
-    if spec == "paper" or spec.get("preset") == "paper":
-        return AisSchedule.paper_preset()
-    return AisSchedule.uniform(spec.get("n_betas", 1000), spec.get("n_chains", 100))
-
-
-def _estimate_log_z(params, estimator, ais_spec, rng):
+def _estimate_log_z(params, estimator, schedule: AisSchedule, rng):
     if estimator == "exact":
         return exact_log_z(params), 0.0
-    return ais_log_z(params, _schedule_from_spec(ais_spec), rng)
+    return ais_log_z(params, schedule, rng)
 
 
-def run_experiment(config: ExperimentConfig, evaluate_checkpoints: bool = True) -> dict:
-    """Train one model per config and evaluate its checkpoints.
+class ExperimentResult(NamedTuple):
+    """What one run of run_experiment yields to its callers."""
 
-    Returns a dict with the final parameters, per-checkpoint metric rows,
-    the resolved config, and memory/time accounting.
-    """
+    params: RbmParameters
+    hyper: Hyperparameters
+    checkpoint_rows: list[dict]  # one per checkpoint: its test-set report, count and wall time
+    final_report: Optional[EvaluationReport]  # None without a test set
+    resolved_config: dict
+    total_ms: float
+    peak_memory_scalars: int
+
+
+def run_experiment(config: ExperimentConfig,
+                   evaluate_checkpoints: bool = True) -> ExperimentResult:
+    """Train one model per config and evaluate its checkpoints."""
     t0 = time.perf_counter()
     train = load_dataset(config.train_dataset, config.master_seed, "train")
     test = load_dataset(config.test_dataset, config.master_seed, "test") if config.test_dataset else None
     stream = order_stream(train, stream_order_for(config))
     hyper = config.hyper(train.n_v)
     resolved = config.resolved(train.n_v)
+    schedule = ais_schedule(config.ais)
 
     train_rng = derive_rng(config.master_seed, "train")
     params, snapshots = stream_train(config.trainer, stream, hyper, config.checkpoint_every,
                                      train_rng)
-    train_ms = (time.perf_counter() - t0) * 1000.0
 
     rows = []
     if evaluate_checkpoints and test is not None:
         for snap in snapshots:
             eval_rng = derive_rng(config.master_seed, f"eval-{snap.observed_count}")
-            log_z, log_z_std = _estimate_log_z(snap.params, config.estimator, config.ais, eval_rng)
+            log_z, log_z_std = _estimate_log_z(snap.params, config.estimator, schedule, eval_rng)
             report = test_log_prob_report(snap.params, test, log_z, log_z_std)
             rows.append({
                 "observed_count": snap.observed_count,
                 "trainer": config.trainer,
                 "log_z_estimate": log_z,
-                "log_z_std": log_z_std,
-                "mean_log_prob": report.mean_log_prob,
-                "cross_class_std": report.cross_class_std,
+                **report.to_dict(),
                 "wall_ms": (time.perf_counter() - t0) * 1000.0,
             })
 
     final_report = None
     if test is not None:
         eval_rng = derive_rng(config.master_seed, "eval-final")
-        log_z, log_z_std = _estimate_log_z(params, config.estimator, config.ais, eval_rng)
+        log_z, log_z_std = _estimate_log_z(params, config.estimator, schedule, eval_rng)
         final_report = test_log_prob_report(params, test, log_z, log_z_std)
 
     peak_memory = max((s.live_scalar_count for s in snapshots), default=0)
-    return {
-        "params": params,
-        "hyper": hyper,
-        "snapshots": snapshots,
-        "checkpoint_rows": rows,
-        "final_report": final_report,
-        "resolved_config": resolved,
-        "train_ms": train_ms,
-        "total_ms": (time.perf_counter() - t0) * 1000.0,
-        "peak_memory_scalars": peak_memory,
-    }
+    return ExperimentResult(params, hyper, rows, final_report, resolved,
+                            (time.perf_counter() - t0) * 1000.0, peak_memory)
 
 
 def _write_csv(path, fieldnames, rows):
+    """Write rows as CSV with fieldnames as columns; other keys in a row are left out."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
+        writer = csv.DictWriter(f, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 METRIC_FIELDS = ["observed_count", "trainer", "log_z_estimate", "log_z_std",
@@ -131,49 +124,35 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(config)
 
-    config_json = json.dumps(result["resolved_config"], sort_keys=True)
+    config_json = json.dumps(result.resolved_config, sort_keys=True)
     model_path = out_dir / "model.rbm"
-    save_model(model_path, result["params"], result["hyper"],
-               extra={"experiment_config": result["resolved_config"]})
+    save_model(model_path, result.params, result.hyper,
+               extra={"experiment_config": result.resolved_config})
 
-    metric_rows = [
-        {**{k: row[k] for k in METRIC_FIELDS if k in row},
-         "master_seed": config.master_seed, "config_json": config_json}
-        for row in result["checkpoint_rows"]
-    ]
-    _write_csv(out_dir / "metrics.csv", METRIC_FIELDS, metric_rows)
+    rows = [{**row, "master_seed": config.master_seed, "config_json": config_json}
+            for row in result.checkpoint_rows]
+    _write_csv(out_dir / "metrics.csv", METRIC_FIELDS, rows)
     # wall-clock measurements vary run to run, so they live in their own file
     # and metrics.csv stays byte-identical across reruns of the same config
-    timing_rows = [
-        {"observed_count": row["observed_count"], "wall_ms": row["wall_ms"],
-         "master_seed": config.master_seed, "config_json": config_json}
-        for row in result["checkpoint_rows"]
-    ]
-    _write_csv(out_dir / "timings.csv", TIMING_FIELDS, timing_rows)
+    _write_csv(out_dir / "timings.csv", TIMING_FIELDS, rows)
 
     print(f"trained {config.trainer}: model -> {model_path}, "
-          f"{len(metric_rows)} checkpoint rows -> {out_dir / 'metrics.csv'}")
-    if result["final_report"] is not None:
-        print(f"final mean test log-prob: {result['final_report'].mean_log_prob:.4f} nats")
+          f"{len(rows)} checkpoint rows -> {out_dir / 'metrics.csv'}")
+    if result.final_report is not None:
+        print(f"final mean test log-prob: {result.final_report.mean_log_prob:.4f} nats")
     return 0
 
 
 def _test_batch_from_args(args, master_seed: int) -> BinaryBatch:
-    spec = {"kind": args.test_kind}
-    if args.test_kind == "toy":
-        spec.update({"n_per_class": args.toy_n_per_class})
-    elif args.test_kind == "idx":
-        if not (args.test_images and args.test_labels):
-            raise ConfigError("idx test data needs --test-images and --test-labels")
-        spec.update({"images": args.test_images, "labels": args.test_labels,
-                     "binarize": args.binarize})
-    elif args.test_kind == "text":
-        if not args.test_path:
-            raise ConfigError("text test data needs --test-path")
-        spec.update({"path": args.test_path})
-    if args.limit:
-        spec["limit"] = args.limit
-    return load_dataset(spec, master_seed, "test")
+    if args.test_kind == "idx" and not (args.test_images and args.test_labels):
+        raise ConfigError("idx test data needs --test-images and --test-labels")
+    if args.test_kind == "text" and not args.test_path:
+        raise ConfigError("text test data needs --test-path")
+    fields = {"toy": {"n_per_class": args.toy_n_per_class},
+              "idx": {"images": args.test_images, "labels": args.test_labels,
+                      "binarize": args.binarize},
+              "text": {"path": args.test_path}}[args.test_kind]
+    return load_dataset({"kind": args.test_kind, **fields, "limit": args.limit}, master_seed, "test")
 
 
 def cmd_evaluate(args) -> int:
@@ -183,17 +162,17 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"test rows have width {test.n_v}, but model {args.model} "
                           f"has n_v = {params.n_v}")
     rng = derive_rng(args.seed, "evaluate")
-    ais_spec = "paper" if args.schedule == "paper" else {
-        "n_betas": args.n_betas, "n_chains": args.n_chains}
-    log_z, log_z_std = _estimate_log_z(params, args.estimator, ais_spec, rng)
+    schedule = (AisSchedule.paper_preset() if args.schedule == "paper"
+                else AisSchedule.uniform(args.n_betas, args.n_chains))
+    log_z, log_z_std = _estimate_log_z(params, args.estimator, schedule, rng)
     report = test_log_prob_report(params, test, log_z, log_z_std)
-    report.extra.update({
+    text = json.dumps({
+        **report.to_dict(),
         "model": str(args.model),
         "estimator": args.estimator,
         "master_seed": args.seed,
         "model_metadata": meta,
-    })
-    text = report.to_json(indent=2)
+    }, sort_keys=True, indent=2)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -208,40 +187,34 @@ def cmd_generate(args) -> int:
         "model": str(args.model), "n": args.n, "gibbs_steps": args.gibbs_steps,
         "master_seed": args.seed, "model_metadata": meta,
     }, sort_keys=True)
-    with open(args.out, "w") as f:
-        f.write(f"# {header}\n")
-        for row in batch.rows:
-            f.write(" ".join(map(str, row)) + "\n")
+    np.savetxt(args.out, batch.rows, fmt="%d", header=header)
     print(f"wrote {args.n} samples -> {args.out}")
     return 0
 
 
 def cmd_compare(args) -> int:
     config = ExperimentConfig.from_file(args.config, {"master_seed": args.seed})
+    if not config.test_dataset:
+        raise ConfigError("compare needs a test_dataset in the config")
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     rows = []
     for trainer in args.trainers:
         cfg = dataclasses.replace(config, trainer=trainer)
         result = run_experiment(cfg, evaluate_checkpoints=False)
-        report = result["final_report"]
-        if report is None:
-            raise ConfigError("compare needs a test_dataset in the config")
+        report = result.final_report
         rows.append({
+            **report.to_dict(),
             "trainer": trainer,
-            "mean_log_prob": report.mean_log_prob,
-            "log_z": report.log_z,
-            "log_z_std": report.log_z_std,
-            "cross_class_std": report.cross_class_std,
-            "peak_memory_scalars": result["peak_memory_scalars"],
-            "wall_ms": result["total_ms"],
+            "peak_memory_scalars": result.peak_memory_scalars,
+            "wall_ms": result.total_ms,
             "reference_value": REFERENCE_FINAL_LOG_PROB.get(trainer, ""),
             "reference_source": REFERENCE_SOURCE,
             "master_seed": cfg.master_seed,
-            "config_json": json.dumps(result["resolved_config"], sort_keys=True),
+            "config_json": json.dumps(result.resolved_config, sort_keys=True),
         })
         print(f"{trainer}: mean_log_prob={report.mean_log_prob:.4f} "
-              f"peak_memory_scalars={result['peak_memory_scalars']}")
+              f"peak_memory_scalars={result.peak_memory_scalars}")
     _write_csv(out_path, COMPARE_FIELDS, rows)
     print(f"comparison -> {out_path}")
     return 0
@@ -253,7 +226,6 @@ def cmd_toy_demo(args) -> int:
     rng = derive_rng(args.seed, "toy-demo")
     data = toy_generate(args.n_per_class, rng=rng)
     hyper = Hyperparameters(n_v=data.n_v, n_h=args.n_h)
-    from .data import StreamOrder
     stream = order_stream(data, StreamOrder("sorted_by_class"))
     params, snapshots = stream_train(
         "ocdgr", stream, hyper, checkpoint_every=args.n_per_class,
@@ -345,26 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of an error that ends a command; the first row it is an instance of wins.
+EXIT_CODES = ((ConfigError, 2), (FileNotFoundError, 2), (FormatError, 3),
+              (InfeasibleSizeError, 4), (OcdgrError, 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (OcdgrError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except InfeasibleSizeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except OcdgrError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(e, kind))
 
 
 if __name__ == "__main__":

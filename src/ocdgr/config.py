@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -13,6 +14,7 @@ import numpy as np
 
 from .data import StreamOrder, binarize, load_binary_text, load_idx, toy_generate
 from .errors import ConfigError, DimensionError, DomainError, FormatError
+from .evaluation import AisSchedule
 from .model import BinaryBatch, Hyperparameters
 from .online import TRAINER_KINDS
 
@@ -52,13 +54,7 @@ class ExperimentConfig:
         _check_kind("config", "checkpoint_every", self.checkpoint_every, int, minimum=1)
         if self.trainer not in TRAINER_KINDS:
             raise ConfigError(f"unknown trainer {self.trainer!r}, expected one of {TRAINER_KINDS}")
-        ais = self.ais if isinstance(self.ais, dict) else {"preset": self.ais}
-        if set(ais) - {"preset", "n_betas", "n_chains"} or ais.get("preset", "paper") != "paper":
-            raise ConfigError(f"ais must be \"paper\" or an object of \"n_betas\" and "
-                              f"\"n_chains\" (or \"preset\": \"paper\"), got {self.ais!r}")
-        if "preset" not in ais:
-            _check_kind("ais", "n_betas", ais.get("n_betas", 1000), int, minimum=2)
-            _check_kind("ais", "n_chains", ais.get("n_chains", 100), int, minimum=1)
+        ais_schedule(self.ais)
         if self.stream_order not in ("sorted_by_class", "random"):
             raise ConfigError(f"unknown stream_order {self.stream_order!r}")
         if self.estimator not in ("exact", "ais"):
@@ -95,21 +91,11 @@ class ExperimentConfig:
 
     def resolved(self, n_v: Optional[int] = None) -> dict:
         """Full config as a plain dict, embedded into every output file."""
-        hyper = self.hyperparameters
+        d = dataclasses.asdict(self)
         if n_v is not None:
-            hyper = self.hyper(n_v).to_dict()
-        return {
-            "master_seed": self.master_seed,
-            "trainer": self.trainer,
-            "train_dataset": self.train_dataset,
-            "test_dataset": self.test_dataset,
-            "stream_order": self.stream_order,
-            "checkpoint_every": self.checkpoint_every,
-            "estimator": self.estimator,
-            "ais": self.ais,
-            "hyperparameters": hyper,
-            "output_dir": str(self.output_dir),
-        }
+            d["hyperparameters"] = self.hyper(n_v).to_dict()
+        d["output_dir"] = str(self.output_dir)
+        return d
 
     def hyper(self, n_v: int) -> Hyperparameters:
         hp = dict(self.hyperparameters)
@@ -126,6 +112,23 @@ class ExperimentConfig:
             return Hyperparameters(**hp)
         except (DimensionError, DomainError) as e:
             raise ConfigError(f"hyperparameters: {e}")
+
+
+def ais_schedule(spec) -> AisSchedule:
+    """The schedule an ais spec names, or ConfigError if it names none.
+
+    The spec is "paper" or {"preset": "paper"} for the preset ladder, or an
+    object of "n_betas" (default 1000) and "n_chains" (default 100).
+    """
+    ais = spec if isinstance(spec, dict) else {"preset": spec}
+    if set(ais) - {"preset", "n_betas", "n_chains"} or ais.get("preset", "paper") != "paper":
+        raise ConfigError(f"ais must be \"paper\" or an object of \"n_betas\" and "
+                          f"\"n_chains\" (or \"preset\": \"paper\"), got {spec!r}")
+    if "preset" in ais:
+        return AisSchedule.paper_preset()
+    n_betas = _check_kind("ais", "n_betas", ais.get("n_betas", 1000), int, minimum=2)
+    n_chains = _check_kind("ais", "n_chains", ais.get("n_chains", 100), int, minimum=1)
+    return AisSchedule.uniform(n_betas, n_chains)
 
 
 # The JSON values each field type accepts; JSON booleans are not numbers.
@@ -156,9 +159,20 @@ def _spec_field(spec: dict, key: str, default, kind: type):
     return _check_kind("dataset spec", key, spec.get(key, default), kind)
 
 
+# The keys each dataset kind reads, besides "kind" and "limit".
+_SPEC_KEYS = {"toy": {"n_per_class", "n_classes", "block", "p"},
+              "idx": {"images", "labels", "binarize"},
+              "text": {"path", "labels_path"}}
+
+
 def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
     """Materialize a dataset spec; RNG-dependent specs derive from the role label."""
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    unknown = set(spec) - _SPEC_KEYS[kind] - {"kind", "limit"}
+    if unknown:
+        raise ConfigError(f"unknown dataset spec keys for kind {kind!r}: {sorted(unknown)}")
     if kind == "toy":
         rng = derive_rng(master_seed, f"{role}-toy-data")
         batch = toy_generate(
@@ -174,7 +188,7 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
         mode = spec.get("binarize", "threshold")
         rng = derive_rng(master_seed, f"{role}-binarize") if mode == "stochastic" else None
         batch = binarize(images, mode, rng, labels)
-    elif kind == "text":
+    else:
         path = _spec_field(spec, "path", None, str)
         batch = load_binary_text(path)
         if spec.get("labels_path") is not None:
@@ -187,8 +201,6 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
                 raise FormatError(f"{labels_path}: holds {labels.size} labels, "
                                   f"{path} has {len(batch)} rows")
             batch = BinaryBatch(batch.rows, labels)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
     limit = spec.get("limit")
     if limit is not None:
         _check_kind("dataset spec", "limit", limit, int, minimum=1)

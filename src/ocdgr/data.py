@@ -99,7 +99,8 @@ def load_binary_text(path) -> BinaryBatch:
     """
     lines = []
     arity = None
-    with open(path) as f:
+    # a byte that is not UTF-8 decodes to a lone surrogate, a non-binary token
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if line.startswith("#"):  # metadata header lines
                 continue

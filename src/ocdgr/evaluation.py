@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -133,10 +132,9 @@ class EvaluationReport:
     per_class_mean: Dict[int, float]
     cross_class_std: float
     n_test: int
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "log_z": self.log_z,
             "log_z_std": self.log_z_std,
             "mean_log_prob": self.mean_log_prob,
@@ -144,11 +142,6 @@ class EvaluationReport:
             "cross_class_std": self.cross_class_std,
             "n_test": self.n_test,
         }
-        d.update(self.extra)
-        return d
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def test_log_prob_report(params: RbmParameters, test: BinaryBatch, log_z: float,

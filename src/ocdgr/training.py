@@ -106,18 +106,20 @@ def apply_update(params: RbmParameters, state: UpdateState,
     if denom <= 0:
         raise EmptyBatchError("update denominator must be positive")
     wd_v = weight_decay if decay_biases else 0.0
-    dw = momentum * state.delta_weights + learning_rate * (
-        (pos.weight_stat - neg.weight_stat) / denom - weight_decay * params.weights
-    )
-    da = momentum * state.delta_visible + learning_rate * (
-        (pos.visible_stat - neg.visible_stat) / denom - wd_v * params.visible_bias
-    )
-    db = momentum * state.delta_hidden + learning_rate * (
-        (pos.hidden_stat - neg.hidden_stat) / denom - wd_v * params.hidden_bias
-    )
-    new_params = RbmParameters(
-        params.weights + dw, params.visible_bias + da, params.hidden_bias + db
-    )
+    # an overflow here is a blow-up that RbmParameters' finiteness check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        dw = momentum * state.delta_weights + learning_rate * (
+            (pos.weight_stat - neg.weight_stat) / denom - weight_decay * params.weights
+        )
+        da = momentum * state.delta_visible + learning_rate * (
+            (pos.visible_stat - neg.visible_stat) / denom - wd_v * params.visible_bias
+        )
+        db = momentum * state.delta_hidden + learning_rate * (
+            (pos.hidden_stat - neg.hidden_stat) / denom - wd_v * params.hidden_bias
+        )
+        new_params = RbmParameters(
+            params.weights + dw, params.visible_bias + da, params.hidden_bias + db
+        )
     return new_params, UpdateState(dw, da, db)
 
 

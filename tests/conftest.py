@@ -5,7 +5,13 @@ import os
 import numpy as np
 import pytest
 
+import ocdgr
 from ocdgr import BinaryBatch, RbmParameters, init_params
+
+
+def pytest_report_header(config):
+    # pytest's pythonpath puts this checkout's src ahead of PYTHONPATH; show which one ran
+    return f"ocdgr imported from {os.path.dirname(ocdgr.__file__)}"
 
 
 def rng(seed=0):

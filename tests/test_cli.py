@@ -10,6 +10,7 @@ import pytest
 from ocdgr import (ConfigError, ExperimentConfig, Hyperparameters, derive_rng, init_params,
                    load_dataset, save_model)
 from ocdgr.cli import REFERENCE_FINAL_LOG_PROB, main
+from ocdgr.config import ais_schedule
 
 from conftest import rng
 
@@ -81,6 +82,14 @@ class TestExperimentConfig:
                              train_dataset={"kind": "toy"}, stream_order="bogus")
         with pytest.raises(ConfigError, match="unknown trainer 'bogus'"):
             ExperimentConfig(master_seed=0, trainer="bogus", train_dataset={"kind": "toy"})
+
+    @pytest.mark.parametrize("spec, n_betas, n_chains", [
+        ("paper", 14501, 100), ({"preset": "paper"}, 14501, 100), ({}, 1000, 100),
+        ({"n_betas": 5}, 5, 100), ({"n_betas": 5, "n_chains": 3}, 5, 3)])
+    def test_ais_schedule(self, spec, n_betas, n_chains):
+        schedule = ais_schedule(spec)
+        assert schedule.betas.size == n_betas and schedule.n_chains == n_chains
+        assert schedule.betas[0] == 0.0 and schedule.betas[-1] == 1.0
 
     def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -190,11 +199,17 @@ class TestCmdTrain:
     ({"bit_packed_memory": True}, "bit_packed_memory"),  # removed option: an unknown key
     ({"train_dataset": {"kind": "toy", "n_per_class": 60, "limit": -1}}, "limit"),
     ({"train_dataset": {"kind": "toy", "n_per_class": 60, "limit": 0}}, "limit"),
+    ({"train_dataset": {"kind": "toy", "n_per_clas": 5}}, "n_per_clas"),
+    ({"test_dataset": {"kind": "toy", "n_per_class": 10, "labels_path": "l"}}, "labels_path"),
+    ({"train_dataset": {"kind": "text", "path": "d.txt", "binarize": "threshold"}}, "binarize"),
+    ({"train_dataset": {"kind": "idx", "images": "i", "labels": "l", "path": "p"}}, "'path'"),
+    ({"train_dataset": {"kind": ["toy"]}}, "unknown dataset kind ['toy']"),
 ], ids=["unknown_hyperparameter", "dataset_field_type", "hyperparameter_type", "top_level_list",
         "text_path_zero", "text_path_int", "idx_images_int", "master_seed_type",
         "master_seed_negative", "checkpoint_every_type", "checkpoint_every_zero",
         "n_betas_type", "n_betas_one", "n_h_zero", "learning_rate_nan",
-        "bit_packed_memory_removed", "limit_negative", "limit_zero"])
+        "bit_packed_memory_removed", "limit_negative", "limit_zero", "toy_key_misspelt",
+        "toy_test_key_of_text", "text_key_of_idx", "idx_key_of_text", "kind_not_a_string"])
 def test_train_config_errors_exit_2(tmp_path, capsys, config, named):
     path = write_toy_config(tmp_path, **(config or {}))
     if config is None:
@@ -212,6 +227,23 @@ def test_train_bad_ais_spec_exit_2_before_training(tmp_path, capsys, monkeypatch
     path = write_toy_config(tmp_path, ais=ais)
     assert main(["train", "--config", str(path)]) == 2
     assert "ais" in capsys.readouterr().err
+
+
+def test_train_non_utf8_text_exit_3(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    data.write_bytes(b"# \xfe is skipped in a comment\n0 1\n\xff 1\n")
+    path = write_toy_config(tmp_path, test_dataset=None,
+                            train_dataset={"kind": "text", "path": str(data)})
+    assert main(["train", "--config", str(path)]) == 3
+    assert "d.txt: non-binary token '\\udcff' at line 3" in capsys.readouterr().err
+
+
+def test_train_blow_up_exit_1_one_line(tmp_path, capsys):
+    path = write_toy_config(tmp_path, hyperparameters={"n_h": 8, "learning_rate": 1e300})
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: update procedure t=1 failed after 100 observations: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("labels_text, named", [
@@ -364,6 +396,16 @@ class TestCmdCompare:
             assert float(r["mean_log_prob"]) < 0
             assert int(r["peak_memory_scalars"]) > 0
             assert np.isfinite(float(r["cross_class_std"]))
+
+    def test_no_test_set_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("stream_train called without a test set")
+        monkeypatch.setattr("ocdgr.cli.stream_train", no_training)
+        cfg = write_toy_config(tmp_path, test_dataset=None)
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "compare needs a test_dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_replay_degenerate_equality(self, tmp_path):
         cfg = write_toy_config(tmp_path, hyperparameters={

@@ -243,7 +243,7 @@ class TestLogProbReport:
         p = random_params(4, 3, seed=19)
         test = BinaryBatch(np.eye(4, dtype=np.uint8), labels=[0, 0, 1, 1])
         report = log_prob_report(p, test, exact_log_z(p), 0.01)
-        d = json.loads(report.to_json())
+        d = json.loads(json.dumps(report.to_dict()))
         assert set(d) >= {"log_z", "log_z_std", "mean_log_prob", "per_class_mean",
                           "cross_class_std", "n_test"}
 

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ocdgr import ExperimentConfig, OcdgrError, load_idx
+from ocdgr import ExperimentConfig, OcdgrError, load_binary_text, load_idx
 from ocdgr.model import load_model
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -77,6 +77,17 @@ def idx_files(draw, magic: int, n_dims: int) -> bytes:
 
 
 @st.composite
+def binary_text_files(draw) -> bytes:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64))
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from("01"), min_size=width, max_size=width),
+                         max_size=5))
+    text = "# header\n" + "".join(" ".join(row) + "\n" for row in rows)
+    return draw(mangled(text.encode("ascii")))
+
+
+@st.composite
 def config_files(draw) -> bytes:
     if draw(st.integers(0, 9)) == 0:
         return draw(st.binary(max_size=64))
@@ -115,6 +126,19 @@ def test_load_idx_value_or_format_error(tmp_path, images, labels):
         return
     assert rows.dtype == np.uint8 and classes.dtype == np.uint8
     assert rows.ndim == 2 and classes.shape == (len(rows),)
+
+
+@FUZZ
+@given(blob=binary_text_files())
+def test_load_binary_text_value_or_format_error(tmp_path, blob):
+    f = tmp_path / "d.txt"
+    f.write_bytes(blob)
+    try:
+        batch = load_binary_text(f)
+    except OcdgrError:
+        return
+    assert batch.rows.dtype == np.uint8 and batch.rows.ndim == 2 and len(batch) > 0
+    assert set(np.unique(batch.rows)) <= {0, 1}
 
 
 @FUZZ
