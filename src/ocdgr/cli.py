@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, ais_schedule, derive_rng, load_dataset, stream_order_for
+from .config import ExperimentConfig, ais_schedule, derive_rng, load_dataset
 from .data import StreamOrder, order_stream, toy_generate
 from .errors import ConfigError, FormatError, InfeasibleSizeError, OcdgrError
 from .evaluation import (
@@ -29,7 +29,7 @@ from .evaluation import (
     ais_log_z,
     test_log_prob_report,
 )
-from .model import BinaryBatch, Hyperparameters, RbmParameters, load_model, save_model
+from .model import Hyperparameters, RbmParameters, load_model, save_model
 from .online import TRAINER_KINDS, generate_replay, stream_train
 
 # Published final mean test log-probabilities on MNIST (500 hidden units,
@@ -63,9 +63,9 @@ def run_experiment(config: ExperimentConfig,
     t0 = time.perf_counter()
     train = load_dataset(config.train_dataset, config.master_seed, "train")
     test = load_dataset(config.test_dataset, config.master_seed, "test") if config.test_dataset else None
-    stream = order_stream(train, stream_order_for(config))
+    stream = order_stream(train, StreamOrder(config.stream_order, seed=config.master_seed))
     hyper = config.hyper(train.n_v)
-    resolved = config.resolved(train.n_v)
+    resolved = config.resolved(hyper)
     schedule = ais_schedule(config.ais)
 
     train_rng = derive_rng(config.master_seed, "train")
@@ -143,27 +143,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _test_batch_from_args(args, master_seed: int) -> BinaryBatch:
-    if args.test_kind == "idx" and not (args.test_images and args.test_labels):
-        raise ConfigError("idx test data needs --test-images and --test-labels")
-    if args.test_kind == "text" and not args.test_path:
-        raise ConfigError("text test data needs --test-path")
-    fields = {"toy": {"n_per_class": args.toy_n_per_class},
-              "idx": {"images": args.test_images, "labels": args.test_labels,
-                      "binarize": args.binarize},
-              "text": {"path": args.test_path}}[args.test_kind]
-    return load_dataset({"kind": args.test_kind, **fields, "limit": args.limit}, master_seed, "test")
-
-
 def cmd_evaluate(args) -> int:
+    schedule = ais_schedule(args.ais)
     params, meta = load_model(args.model)
-    test = _test_batch_from_args(args, args.seed)
+    test = load_dataset(args.test_dataset, args.seed, "test")
     if test.n_v != params.n_v:
         raise ConfigError(f"test rows have width {test.n_v}, but model {args.model} "
                           f"has n_v = {params.n_v}")
     rng = derive_rng(args.seed, "evaluate")
-    schedule = (AisSchedule.paper_preset() if args.schedule == "paper"
-                else AisSchedule.uniform(args.n_betas, args.n_chains))
     log_z, log_z_std = _estimate_log_z(params, args.estimator, schedule, rng)
     report = test_log_prob_report(params, test, log_z, log_z_std)
     text = json.dumps({
@@ -263,6 +250,14 @@ _SEED = _int_at_least(0)
 _COUNT = _int_at_least(1)
 
 
+def _json_value(text: str):
+    """argparse type: one JSON value, else a usage error (exit 2)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {e}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ocdgr",
                                      description="Online RBM training with generative replay")
@@ -279,16 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="log-probability report for a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--estimator", choices=("exact", "ais"), default="ais")
-    p.add_argument("--schedule", choices=("uniform", "paper"), default="uniform")
-    p.add_argument("--n-betas", type=_int_at_least(2), default=1000)
-    p.add_argument("--n-chains", type=_COUNT, default=100)
-    p.add_argument("--test-kind", choices=("toy", "idx", "text"), required=True)
-    p.add_argument("--test-images")
-    p.add_argument("--test-labels")
-    p.add_argument("--test-path")
-    p.add_argument("--binarize", choices=("threshold", "stochastic"), default="threshold")
-    p.add_argument("--toy-n-per-class", type=_COUNT, default=100)
-    p.add_argument("--limit", type=_COUNT)
+    # both take the JSON value of the config key of the same name
+    p.add_argument("--ais", type=_json_value, default={}, metavar="SPEC")
+    p.add_argument("--test-dataset", type=_json_value, required=True, metavar="SPEC")
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

@@ -12,7 +12,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .data import StreamOrder, binarize, load_binary_text, load_idx, toy_generate
+from .data import binarize, load_binary_text, load_idx, toy_generate
 from .errors import ConfigError, DimensionError, DomainError, FormatError
 from .evaluation import AisSchedule
 from .model import BinaryBatch, Hyperparameters
@@ -89,11 +89,10 @@ class ExperimentConfig:
         except TypeError as e:
             raise ConfigError(str(e))
 
-    def resolved(self, n_v: Optional[int] = None) -> dict:
-        """Full config as a plain dict, embedded into every output file."""
+    def resolved(self, hyper: Hyperparameters) -> dict:
+        """Full config as a plain dict, with hyper in full; embedded into every output file."""
         d = dataclasses.asdict(self)
-        if n_v is not None:
-            d["hyperparameters"] = self.hyper(n_v).to_dict()
+        d["hyperparameters"] = hyper.to_dict()
         d["output_dir"] = str(self.output_dir)
         return d
 
@@ -167,6 +166,8 @@ _SPEC_KEYS = {"toy": {"n_per_class", "n_classes", "block", "p"},
 
 def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
     """Materialize a dataset spec; RNG-dependent specs derive from the role label."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a dataset spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
@@ -206,7 +207,3 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
         _check_kind("dataset spec", "limit", limit, int, minimum=1)
         batch = batch.take(np.arange(min(limit, len(batch))))
     return batch
-
-
-def stream_order_for(config: ExperimentConfig) -> StreamOrder:
-    return StreamOrder(config.stream_order, seed=config.master_seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -32,10 +33,11 @@ class AisSchedule:
             raise ScheduleError("schedule needs at least two betas")
         if betas[0] != 0.0 or betas[-1] != 1.0:
             raise ScheduleError("schedule must start at 0.0 and end at 1.0")
-        if np.any(np.diff(betas) < 0):
+        if not np.all(np.diff(betas) >= 0):  # a NaN beta fails this test too
             raise ScheduleError("betas must be nondecreasing")
-        if self.n_chains < 1:
-            raise ScheduleError("n_chains must be >= 1")
+        if (isinstance(self.n_chains, bool) or not isinstance(self.n_chains, numbers.Integral)
+                or self.n_chains < 1):
+            raise ScheduleError(f"n_chains must be an integer >= 1, got {self.n_chains!r}")
         self.betas = betas
 
     @classmethod

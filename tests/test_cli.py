@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 from ocdgr import (ConfigError, ExperimentConfig, Hyperparameters, derive_rng, init_params,
                    load_dataset, save_model)
-from ocdgr.cli import REFERENCE_FINAL_LOG_PROB, main
+from ocdgr.cli import REFERENCE_FINAL_LOG_PROB, build_parser, main
 from ocdgr.config import ais_schedule
 
 from conftest import rng
@@ -119,6 +122,10 @@ class TestLoadDataset:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             load_dataset({"kind": "bogus"}, 0, "train")
+
+    def test_spec_not_an_object(self):
+        with pytest.raises(ConfigError, match=r"a dataset spec must be an object, got \[1\]"):
+            load_dataset([1], 0, "test")
 
 
 def write_toy_config(tmp_path, **extra):
@@ -263,11 +270,8 @@ def test_train_bad_labels_file_exit_3(tmp_path, capsys, labels_text, named):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("evaluate", "--seed", "-1"),
-    ("evaluate", "--n-betas", "1"),
-    ("evaluate", "--n-chains", "0"),
-    ("evaluate", "--limit", "-1"),
-    ("evaluate", "--limit", "0"),
-    ("evaluate", "--toy-n-per-class", "0"),
+    ("evaluate", "--test-dataset", "{nope"),
+    ("evaluate", "--ais", "{nope"),
     ("generate", "--seed", "-1"),
     ("generate", "-n", "0"),
     ("generate", "--gibbs-steps", "0"),
@@ -284,7 +288,8 @@ def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
     model = tmp_path / "m.rbm"
     save_model(model, init_params(6, 2, 0.1, rng()))
     config = write_toy_config(tmp_path)
-    args = {"evaluate": ["--model", str(model), "--estimator", "exact", "--test-kind", "toy"],
+    args = {"evaluate": ["--model", str(model), "--estimator", "exact",
+                         "--test-dataset", '{"kind": "toy"}'],
             "generate": ["--model", str(model), "-n", "3", "--out", str(tmp_path / "s.txt")],
             "toy-demo": ["--n-per-class", "10"],
             "train": ["--config", str(config)],
@@ -295,6 +300,40 @@ def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+TOY_5 = '{"kind": "toy", "n_per_class": 5}'
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--ais", '{"n_betas": 1}', "ais field 'n_betas' must be >= 2"),
+    ("--ais", '{"n_chains": 0}', "ais field 'n_chains' must be >= 1"),
+    ("--test-dataset", '{"kind": "toy", "n_per_class": 5, "limit": -1}',
+     "dataset spec field 'limit' must be >= 1"),
+    ("--test-dataset", '{"kind": "toy", "n_per_class": 5, "limit": 0}',
+     "dataset spec field 'limit' must be >= 1"),
+    ("--test-dataset", '{"kind": "toy", "n_per_class": 0}', "n_per_class"),
+    ("--test-dataset", "[1]", "a dataset spec must be an object, got [1]"),
+], ids=["n_betas_1", "n_chains_0", "limit_negative", "limit_zero", "toy_n_per_class_0",
+        "spec_not_an_object"])
+def test_evaluate_bad_spec_exit_2(tmp_path, capsys, flag, value, named):
+    model = tmp_path / "m.rbm"
+    save_model(model, init_params(100, 2, 0.1, rng()))
+    specs = {"--ais": "{}", "--test-dataset": TOY_5, flag: value}
+    argv = ["evaluate", "--model", str(model), "--estimator", "exact"]
+    assert main([*argv, *(token for item in specs.items() for token in item)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ocdgr ")]
+    assert len(commands) == 5
+    for command in commands:
+        argv = shlex.split(re.sub(r"\[(-[^\]]*)\]", r"\1", command))
+        build_parser().parse_args(argv[1:])  # a flag the parser lacks exits 2
+
+
 class TestCmdEvaluate:
     def test_uniform_model_mean_log_prob(self, tmp_path):
         # a zero-parameter model is uniform: log p(v) = -n_v * ln 2 for every v
@@ -303,7 +342,7 @@ class TestCmdEvaluate:
         save_model(model, params)
         out = tmp_path / "report.json"
         code = main(["evaluate", "--model", str(model), "--estimator", "exact",
-                     "--test-kind", "toy", "--toy-n-per-class", "5", "--out", str(out)])
+                     "--test-dataset", TOY_5, "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["mean_log_prob"] == pytest.approx(-100 * np.log(2))
@@ -313,7 +352,7 @@ class TestCmdEvaluate:
         model = tmp_path / "m.rbm"
         save_model(model, params)
         code = main(["evaluate", "--model", str(model), "--estimator", "exact",
-                     "--test-kind", "toy", "--toy-n-per-class", "5"])
+                     "--test-dataset", TOY_5])
         assert code == 4
         assert "ais" in capsys.readouterr().err
 
@@ -321,7 +360,7 @@ class TestCmdEvaluate:
         model = tmp_path / "m.rbm"
         save_model(model, init_params(7, 3, 0.1, rng()))
         code = main(["evaluate", "--model", str(model), "--estimator", "exact",
-                     "--test-kind", "toy", "--toy-n-per-class", "5"])
+                     "--test-dataset", TOY_5])
         assert code == 2
         err = capsys.readouterr().err
         assert "width 100" in err and "m.rbm has n_v = 7" in err
@@ -332,14 +371,28 @@ class TestCmdEvaluate:
         save_model(model, params)
         out_e, out_a = tmp_path / "e.json", tmp_path / "a.json"
         assert main(["evaluate", "--model", str(model), "--estimator", "exact",
-                     "--test-kind", "toy", "--toy-n-per-class", "5", "--out", str(out_e)]) == 0
+                     "--test-dataset", TOY_5, "--out", str(out_e)]) == 0
         assert main(["evaluate", "--model", str(model), "--estimator", "ais",
-                     "--n-betas", "500", "--n-chains", "50",
-                     "--test-kind", "toy", "--toy-n-per-class", "5", "--out", str(out_a)]) == 0
+                     "--ais", '{"n_betas": 500, "n_chains": 50}',
+                     "--test-dataset", TOY_5, "--out", str(out_a)]) == 0
         exact = json.loads(out_e.read_text())
         ais = json.loads(out_a.read_text())
         tol = max(0.05, 3 * ais["log_z_std"])
         assert abs(ais["log_z"] - exact["log_z"]) <= tol
+
+    def test_text_set_with_labels_per_class_mean(self, tmp_path):
+        params = init_params(3, 2, 0.1, rng(5))
+        model = tmp_path / "m.rbm"
+        save_model(model, params)
+        data, labels, out = tmp_path / "d.txt", tmp_path / "labels.txt", tmp_path / "r.json"
+        data.write_text("0 1 1\n1 0 0\n1 1 1\n0 0 1\n")
+        labels.write_text("4\n7\n4\n9\n")
+        spec = json.dumps({"kind": "text", "path": str(data), "labels_path": str(labels)})
+        assert main(["evaluate", "--model", str(model), "--estimator", "exact",
+                     "--test-dataset", spec, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert sorted(report["per_class_mean"]) == ["4", "7", "9"]
+        assert np.isfinite(report["cross_class_std"])
 
 
 class TestCmdGenerate:
@@ -364,7 +417,7 @@ class TestCmdGenerate:
         save_model(model, init_params(6, 2, 0.1, rng()))
         model.write_bytes(model.read_bytes()[:-6] + b"\x01\x00\x00\x00{")  # metadata "{"
         args = {"generate": ["-n", "3", "--out", str(tmp_path / "s.txt")],
-                "evaluate": ["--test-kind", "toy"]}[command]
+                "evaluate": ["--test-dataset", '{"kind": "toy"}']}[command]
         assert main([command, "--model", str(model), *args]) == 3
         assert "m.rbm: metadata block at offset" in capsys.readouterr().err
 

@@ -55,6 +55,16 @@ class TestAisSchedule:
             AisSchedule(np.array([0.0, 0.6, 0.5, 1.0]), 10)  # monotone
         with pytest.raises(ScheduleError):
             AisSchedule(np.linspace(0, 1, 5), 0)
+        with pytest.raises(ScheduleError, match="nondecreasing"):
+            AisSchedule(np.array([0.0, np.nan, 1.0]), 10)  # NaN compares false both ways
+
+    @pytest.mark.parametrize("n_chains", [2.5, 10.0, True, "10", None])
+    def test_n_chains_must_be_an_integer(self, n_chains):
+        with pytest.raises(ScheduleError, match="n_chains must be an integer"):
+            AisSchedule(np.linspace(0, 1, 5), n_chains)
+
+    def test_numpy_integer_n_chains(self):
+        assert AisSchedule(np.linspace(0, 1, 5), np.int64(3)).n_chains == 3
 
 
 class TestExactLogZ:
