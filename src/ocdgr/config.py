@@ -154,8 +154,8 @@ def _check_kind(where: str, key: str, value, kind: type, minimum=None):
     return value
 
 
-def _spec_field(spec: dict, key: str, default, kind: type):
-    return _check_kind("dataset spec", key, spec.get(key, default), kind)
+def _spec_field(spec: dict, key: str, default, kind: type, minimum=None):
+    return _check_kind("dataset spec", key, spec.get(key, default), kind, minimum)
 
 
 # The keys each dataset kind reads, besides "kind" and "limit".
@@ -177,9 +177,9 @@ def load_dataset(spec: dict, master_seed: int, role: str) -> BinaryBatch:
     if kind == "toy":
         rng = derive_rng(master_seed, f"{role}-toy-data")
         batch = toy_generate(
-            n_per_class=_spec_field(spec, "n_per_class", 1000, int),
-            n_classes=_spec_field(spec, "n_classes", 10, int),
-            block=_spec_field(spec, "block", 10, int),
+            n_per_class=_spec_field(spec, "n_per_class", 1000, int, minimum=1),
+            n_classes=_spec_field(spec, "n_classes", 10, int, minimum=1),
+            block=_spec_field(spec, "block", 10, int, minimum=1),
             p=_spec_field(spec, "p", 0.3, float),
             rng=rng,
         )

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionError, DomainError, EmptyBatchError, InfeasibleSizeError, ScheduleError
 from .model import (BinaryBatch, RbmParameters, _bernoulli, _sigmoid, _softplus, free_energy,
@@ -56,6 +55,20 @@ class AisSchedule:
         return cls(betas, 100)
 
 
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-d float64 array, bit for bit scipy 1.17's logsumexp(a), whose
+    steps it repeats: the m maxima are set to -inf where they stand (so numpy's pairwise sum
+    blocks as scipy's does), s = sum(exp(a - max)) / m, and out = log1p(s) + log(m) + max."""
+    top = a.max()
+    if not np.isfinite(top):
+        return top  # all -inf, or a +inf or NaN entry: scipy's -inf, inf or NaN
+    is_top = a == top
+    terms = a - top
+    terms[is_top] = -np.inf
+    m = np.count_nonzero(is_top)
+    return np.log1p(np.exp(terms, out=terms).sum() / m) + np.log(m) + top
+
+
 def exact_log_z(params: RbmParameters) -> float:
     """log Z by enumerating the smaller layer; exact up to float rounding."""
     if min(params.n_v, params.n_h) > EXACT_ENUM_LIMIT:
@@ -82,7 +95,7 @@ def exact_log_z(params: RbmParameters) -> float:
         top = terms.max()
         terms -= top
         block_lse[high] = top + high_bits @ bias_enum[k:] + np.log(np.exp(terms, out=terms).sum())
-    return float(logsumexp(block_lse))
+    return float(_logsumexp(block_lse))
 
 
 def ais_log_z(params: RbmParameters, schedule: AisSchedule, rng: np.random.Generator):
@@ -115,7 +128,7 @@ def ais_log_z(params: RbmParameters, schedule: AisSchedule, rng: np.random.Gener
             act = v @ w.T + b
         prev_beta = beta
 
-    log_mean_w = logsumexp(log_w) - np.log(n)
+    log_mean_w = _logsumexp(log_w) - np.log(n)
     estimate = float(log_z_base + log_mean_w)
     if n == 1:
         return estimate, float("inf")

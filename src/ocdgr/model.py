@@ -139,10 +139,6 @@ class Hyperparameters:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparameters":
-        return cls(**d)
-
 
 def _is_binary(rows: np.ndarray) -> bool:
     """Same verdict as np.isin(rows, (0, 1)).all(), in one pass where the dtype allows."""

@@ -225,6 +225,15 @@ def test_train_config_errors_exit_2(tmp_path, capsys, config, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["n_per_class", "n_classes", "block"])
+def test_toy_count_below_one_exit_2_names_field(tmp_path, capsys, field):
+    with pytest.raises(ConfigError, match=f"^dataset spec field '{field}' must be >= 1, got 0$"):
+        load_dataset({"kind": "toy", field: 0}, 0, "train")
+    path = write_toy_config(tmp_path, train_dataset={"kind": "toy", field: 0})
+    assert main(["train", "--config", str(path)]) == 2
+    assert f"error: dataset spec field '{field}' must be >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ais", ["fast", 1000, None, ["paper"], {"preset": "fast"},
                                  {"n_beta": 500}])
 def test_train_bad_ais_spec_exit_2_before_training(tmp_path, capsys, monkeypatch, ais):

@@ -1,11 +1,15 @@
 """Partition functions, log-probability reports, and k-NN scoring."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +31,7 @@ from ocdgr import (
     toy_generate,
 )
 from ocdgr import test_log_prob_report as log_prob_report  # avoid pytest collection
+from ocdgr.evaluation import _logsumexp
 from ocdgr.model import _bernoulli, _sigmoid, softplus
 from scipy.special import logsumexp
 
@@ -65,6 +70,43 @@ class TestAisSchedule:
 
     def test_numpy_integer_n_chains(self):
         assert AisSchedule(np.linspace(0, 1, 5), np.int64(3)).n_chains == 3
+
+
+@st.composite
+def logsumexp_inputs(draw):
+    """1-d float64 arrays whose entries come from a small pool, so that maxima tie often
+    (a pool of -inf alone gives the all -inf array), or from the pool and a range narrow
+    enough that most terms survive exp(a - max), so the summation order shows."""
+    pool = draw(st.lists(st.floats(-1e4, 1e4) | st.just(-np.inf), min_size=1, max_size=6))
+    values = st.sampled_from(pool)
+    if draw(st.booleans()):
+        values = st.floats(-40, 40) | values
+    return draw(arrays(np.float64, st.integers(1, 600), elements=values))
+
+
+class TestLogsumexp:
+    @settings(max_examples=500, deadline=None)
+    @given(a=logsumexp_inputs())
+    @example(a=np.array([-np.inf]))
+    @example(a=np.array([-np.inf, -np.inf, -np.inf]))
+    @example(a=np.array([-2.5]))
+    @example(a=np.array([1.0, -np.inf, 1.0, 0.5]))
+    def test_bit_identical_to_scipy(self, a):
+        # the suite turns RuntimeWarnings into errors, so this also checks that none is raised
+        before = a.copy()
+        got = _logsumexp(a)
+        assert np.float64(got).tobytes() == np.float64(logsumexp(a)).tobytes()
+        assert np.array_equal(a, before)
+
+    def test_library_imports_no_scipy(self):
+        # scipy.special alone is about 17 MB of resident memory and 0.2 s of start-up
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, ocdgr, ocdgr.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestExactLogZ:

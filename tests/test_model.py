@@ -341,7 +341,7 @@ class TestHyperparameters:
 
     def test_round_trip(self):
         h = Hyperparameters(n_v=10, n_h=5, n_cd=3)
-        assert Hyperparameters.from_dict(h.to_dict()) == h
+        assert Hyperparameters(**h.to_dict()) == h
 
 
 class TestPersistence:
