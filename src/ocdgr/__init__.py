@@ -45,6 +45,7 @@ from .online import (
     er_update_procedure,
     generate_replay,
     ocdgr_update_procedure,
+    stream_states,
     stream_train,
 )
 from .evaluation import (

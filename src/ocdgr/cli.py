@@ -30,7 +30,7 @@ from .evaluation import (
     test_log_prob_report,
 )
 from .model import Hyperparameters, RbmParameters, load_model, save_model
-from .online import TRAINER_KINDS, generate_replay, stream_train
+from .online import TRAINER_KINDS, generate_replay, stream_states, stream_train
 
 # Published final mean test log-probabilities on MNIST (500 hidden units,
 # CD-1, random stream order), carried as annotations only; nothing asserts
@@ -39,10 +39,13 @@ REFERENCE_FINAL_LOG_PROB = {"ocdgr": -114.52, "er_im": -151.67, "er_ml": -167.11
 REFERENCE_SOURCE = "published reference: MNIST, n_h=500, n_CD=1, random order (not asserted)"
 
 
-def _estimate_log_z(params, estimator, schedule: AisSchedule, rng):
+def _report(params, test, estimator, schedule: AisSchedule, rng) -> EvaluationReport:
+    """Test-set report of params under exact log Z or an AIS estimate drawn from rng."""
     if estimator == "exact":
-        return exact_log_z(params), 0.0
-    return ais_log_z(params, schedule, rng)
+        log_z, log_z_std = exact_log_z(params), 0.0
+    else:
+        log_z, log_z_std = ais_log_z(params, schedule, rng)
+    return test_log_prob_report(params, test, log_z, log_z_std)
 
 
 class ExperimentResult(NamedTuple):
@@ -54,46 +57,36 @@ class ExperimentResult(NamedTuple):
     final_report: Optional[EvaluationReport]  # None without a test set
     resolved_config: dict
     total_ms: float
-    peak_memory_scalars: int
+    peak_memory_scalars: int  # largest live count over every state the driver yields
 
 
 def run_experiment(config: ExperimentConfig,
                    evaluate_checkpoints: bool = True) -> ExperimentResult:
-    """Train one model per config and evaluate its checkpoints."""
+    """Train one model per config, scoring each checkpoint as the stream reaches it."""
     t0 = time.perf_counter()
     train = load_dataset(config.train_dataset, config.master_seed, "train")
     test = load_dataset(config.test_dataset, config.master_seed, "test") if config.test_dataset else None
     stream = order_stream(train, StreamOrder(config.stream_order, seed=config.master_seed))
     hyper = config.hyper(train.n_v)
-    resolved = config.resolved(hyper)
     schedule = ais_schedule(config.ais)
 
-    train_rng = derive_rng(config.master_seed, "train")
-    params, snapshots = stream_train(config.trainer, stream, hyper, config.checkpoint_every,
-                                     train_rng)
-
-    rows = []
-    if evaluate_checkpoints and test is not None:
-        for snap in snapshots:
-            eval_rng = derive_rng(config.master_seed, f"eval-{snap.observed_count}")
-            log_z, log_z_std = _estimate_log_z(snap.params, config.estimator, schedule, eval_rng)
-            report = test_log_prob_report(snap.params, test, log_z, log_z_std)
-            rows.append({
-                "observed_count": snap.observed_count,
-                "trainer": config.trainer,
-                "log_z_estimate": log_z,
-                **report.to_dict(),
-                "wall_ms": (time.perf_counter() - t0) * 1000.0,
-            })
-
-    final_report = None
-    if test is not None:
-        eval_rng = derive_rng(config.master_seed, "eval-final")
-        log_z, log_z_std = _estimate_log_z(params, config.estimator, schedule, eval_rng)
-        final_report = test_log_prob_report(params, test, log_z, log_z_std)
-
-    peak_memory = max((s.live_scalar_count for s in snapshots), default=0)
-    return ExperimentResult(params, hyper, rows, final_report, resolved,
+    score_checkpoints = evaluate_checkpoints and test is not None
+    rows, peak_memory = [], 0
+    for state, memory in stream_states(config.trainer, stream, hyper, config.checkpoint_every,
+                                       derive_rng(config.master_seed, "train")):
+        peak_memory = max(peak_memory, state.live_scalar_count(memory))
+        end = state.observed_count
+        # row k is checkpoint k * checkpoint_every; a flush after it repeats its count
+        if score_checkpoints and end == (len(rows) + 1) * config.checkpoint_every:
+            report = _report(state.params, test, config.estimator, schedule,
+                             derive_rng(config.master_seed, f"eval-{end}"))
+            rows.append({"observed_count": end, "trainer": config.trainer,
+                         "log_z_estimate": report.log_z, **report.to_dict(),
+                         "wall_ms": (time.perf_counter() - t0) * 1000.0})
+    final_report = None if test is None else _report(
+        state.params, test, config.estimator, schedule,
+        derive_rng(config.master_seed, "eval-final"))
+    return ExperimentResult(state.params, hyper, rows, final_report, config.resolved(hyper),
                             (time.perf_counter() - t0) * 1000.0, peak_memory)
 
 
@@ -150,9 +143,7 @@ def cmd_evaluate(args) -> int:
     if test.n_v != params.n_v:
         raise ConfigError(f"test rows have width {test.n_v}, but model {args.model} "
                           f"has n_v = {params.n_v}")
-    rng = derive_rng(args.seed, "evaluate")
-    log_z, log_z_std = _estimate_log_z(params, args.estimator, schedule, rng)
-    report = test_log_prob_report(params, test, log_z, log_z_std)
+    report = _report(params, test, args.estimator, schedule, derive_rng(args.seed, "evaluate"))
     text = json.dumps({
         **report.to_dict(),
         "model": str(args.model),

@@ -127,8 +127,9 @@ def toy_generate(n_per_class: int, n_classes: int = 10, block: int = 10,
                  p: float = 0.3, rng: Optional[np.random.Generator] = None) -> BinaryBatch:
     """Synthetic block dataset: class c (1-based) activates only its own
     block of coordinates, each with probability p; everything else is 0."""
-    if n_per_class < 1 or n_classes < 1 or block < 1:
-        raise ConfigError("n_per_class, n_classes, and block must be positive")
+    for name, value in {"n_per_class": n_per_class, "n_classes": n_classes, "block": block}.items():
+        if value < 1:
+            raise ConfigError(f"toy_generate argument {name!r} must be >= 1, got {value!r}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError("p must lie in [0, 1]")
     if rng is None:

@@ -202,17 +202,18 @@ class CheckpointSnapshot:
     live_scalar_count: int
 
 
-def stream_train(trainer_kind: str, stream: BinaryBatch, hyper: Hyperparameters,
-                 checkpoint_every: int, rng: np.random.Generator,
-                 initial_params: Optional[RbmParameters] = None):
-    """Feed an ordered stream of observations to an online trainer.
+def stream_states(trainer_kind: str, stream: BinaryBatch, hyper: Hyperparameters,
+                  checkpoint_every: int, rng: np.random.Generator,
+                  initial_params: Optional[RbmParameters] = None):
+    """Feed an ordered stream of observations to an online trainer, yielding its state.
 
     Points accumulate into a pending batch; every batch_size points the
-    trainer's update procedure runs. A snapshot is recorded after every
-    checkpoint_every observed points. A partial batch left at stream end
-    triggers one final flush update. A DomainError raised by an update
-    (a non-finite parameter, say) is re-raised naming the procedure index
-    t and the observed count. Returns (final params, snapshots).
+    trainer's update procedure runs, and a partial batch left at stream end
+    gets one final flush update. Yields the live (state, memory) pair (memory
+    None for ocdgr), which the next step changes: the fresh state, then after
+    every procedure, at every checkpoint_every observed points (pending rows
+    included) and after the flush. A DomainError raised by an update is
+    re-raised naming the procedure index t and the observed count.
     """
     if trainer_kind not in TRAINER_KINDS:
         raise ConfigError(f"unknown trainer kind {trainer_kind!r}, expected one of {TRAINER_KINDS}")
@@ -224,22 +225,31 @@ def stream_train(trainer_kind: str, stream: BinaryBatch, hyper: Hyperparameters,
     state = OnlineTrainerState.fresh(initial_params)
     memory = {"ocdgr": None, "er_im": ReplayMemory(None),
               "er_ml": ReplayMemory(er_ml_capacity(hyper.n_v, hyper.n_h))}[trainer_kind]
+    yield state, memory
 
     n, start = len(stream), 0  # stream.rows[start:] are not yet trained on
-    snapshots: list[CheckpointSnapshot] = []
     for end in sorted({*range(hyper.batch_size, n + 1, hyper.batch_size),
                        *range(checkpoint_every, n + 1, checkpoint_every)}):
         state.pending, state.observed_count = stream.rows[start:end], end
         if end - start == hyper.batch_size:
             state, start = _run_procedure(state, memory, hyper, rng), end
-        if end % checkpoint_every == 0:
-            snapshots.append(CheckpointSnapshot(
-                end, state.params, state.t, 0 if memory is None else len(memory),
-                state.live_scalar_count(memory),
-            ))
+        yield state, memory
     if start < n:
         state.pending, state.observed_count = stream.rows[start:], n
-        state = _run_procedure(state, memory, hyper, rng)
+        yield _run_procedure(state, memory, hyper, rng), memory
+
+
+def stream_train(trainer_kind: str, stream: BinaryBatch, hyper: Hyperparameters,
+                 checkpoint_every: int, rng: np.random.Generator,
+                 initial_params: Optional[RbmParameters] = None):
+    """Run stream_states to the end, snapshotting the first state it yields at
+    each multiple of checkpoint_every. Returns (final params, snapshots)."""
+    snapshots: list[CheckpointSnapshot] = []
+    for state, memory in stream_states(trainer_kind, stream, hyper, checkpoint_every, rng,
+                                       initial_params):
+        if state.observed_count == (len(snapshots) + 1) * checkpoint_every:
+            snapshots.append(CheckpointSnapshot(state.observed_count, state.params, state.t,
+                                                len(memory or ()), state.live_scalar_count(memory)))
     return state.params, snapshots
 
 

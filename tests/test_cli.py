@@ -10,9 +10,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ocdgr import (ConfigError, ExperimentConfig, Hyperparameters, derive_rng, init_params,
-                   load_dataset, save_model)
-from ocdgr.cli import REFERENCE_FINAL_LOG_PROB, build_parser, main
+from ocdgr import (ConfigError, ExperimentConfig, Hyperparameters, StreamOrder, derive_rng,
+                   er_ml_capacity, exact_log_z, init_params, load_dataset, order_stream,
+                   save_model, stream_train)
+from ocdgr import test_log_prob_report as log_prob_report  # avoid pytest collection
+from ocdgr.cli import REFERENCE_FINAL_LOG_PROB, build_parser, main, run_experiment
 from ocdgr.config import ais_schedule
 
 from conftest import rng
@@ -166,6 +168,27 @@ class TestCmdTrain:
         timing = read_csv(out / "timings.csv")
         assert len(timing) == 6 and float(timing[0]["wall_ms"]) > 0
 
+    def test_checkpoints_score_stream_train_snapshots(self, tmp_path):
+        # 150 rows in batches of 40: the checkpoint at 150 holds 30 pending rows,
+        # and the final flush that follows it is not scored as a second checkpoint
+        config = ExperimentConfig.from_file(write_toy_config(
+            tmp_path, train_dataset={"kind": "toy", "n_per_class": 15}, checkpoint_every=75,
+            hyperparameters={"n_h": 8, "n_epochs": 1, "batch_size": 40}))
+        result = run_experiment(config)
+        stream = order_stream(load_dataset(config.train_dataset, 11, "train"),
+                              StreamOrder(config.stream_order, seed=11))
+        test = load_dataset(config.test_dataset, 11, "test")
+        params, snaps = stream_train("ocdgr", stream, result.hyper, 75, derive_rng(11, "train"))
+
+        def mean_log_prob(p):
+            return log_prob_report(p, test, exact_log_z(p)).mean_log_prob
+
+        rows = result.checkpoint_rows
+        assert [r["observed_count"] for r in rows] == [s.observed_count for s in snaps] == [75, 150]
+        assert [r["mean_log_prob"] for r in rows] == [mean_log_prob(s.params) for s in snaps]
+        assert result.final_report.mean_log_prob == mean_log_prob(params)
+        assert rows[-1]["mean_log_prob"] != result.final_report.mean_log_prob
+
     def test_rerun_metrics_byte_identical(self, tmp_path):
         path = write_toy_config(tmp_path)
         assert main(["train", "--config", str(path)]) == 0
@@ -238,8 +261,8 @@ def test_toy_count_below_one_exit_2_names_field(tmp_path, capsys, field):
                                  {"n_beta": 500}])
 def test_train_bad_ais_spec_exit_2_before_training(tmp_path, capsys, monkeypatch, ais):
     def no_training(*args, **kwargs):
-        raise AssertionError("stream_train called despite a bad ais spec")
-    monkeypatch.setattr("ocdgr.cli.stream_train", no_training)
+        raise AssertionError("stream_states called despite a bad ais spec")
+    monkeypatch.setattr("ocdgr.cli.stream_states", no_training)
     path = write_toy_config(tmp_path, ais=ais)
     assert main(["train", "--config", str(path)]) == 2
     assert "ais" in capsys.readouterr().err
@@ -461,8 +484,8 @@ class TestCmdCompare:
 
     def test_no_test_set_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):
-            raise AssertionError("stream_train called without a test set")
-        monkeypatch.setattr("ocdgr.cli.stream_train", no_training)
+            raise AssertionError("stream_states called without a test set")
+        monkeypatch.setattr("ocdgr.cli.stream_states", no_training)
         cfg = write_toy_config(tmp_path, test_dataset=None)
         out = tmp_path / "compare.csv"
         assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
@@ -477,6 +500,23 @@ class TestCmdCompare:
         rows = read_csv(out)
         values = {r["mean_log_prob"] for r in rows}
         assert len(values) == 1  # all trainers identical without replay
+
+    def test_peak_memory_counts_every_state(self, tmp_path):
+        # 300 rows never reach the default checkpoint_every of 1,000, and the
+        # 20 rows left after the last full batch are trained by the final flush
+        cfg = write_toy_config(tmp_path, train_dataset={"kind": "toy", "n_per_class": 30},
+                               hyperparameters={"n_h": 8, "n_epochs": 1, "batch_size": 40})
+        spec = json.loads(cfg.read_text())
+        del spec["checkpoint_every"]
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "compare.csv"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        n_v, n_h = 100, 8
+        p = n_v * n_h + n_v + n_h
+        by_trainer = {r["trainer"]: int(r["peak_memory_scalars"]) for r in read_csv(out)}
+        assert by_trainer == {"ocdgr": 2 * p,
+                              "er_ml": 2 * p + er_ml_capacity(n_v, n_h) * n_v,
+                              "er_im": 2 * p + 300 * n_v}
 
     def test_memory_column_ordering(self, tmp_path):
         cfg = write_toy_config(tmp_path)

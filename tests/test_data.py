@@ -261,6 +261,18 @@ class TestToyGenerate:
         with pytest.raises(ConfigError):
             toy_generate(5, p=1.5, rng=rng())
 
+    @pytest.mark.parametrize("counts, field, value", [
+        ({"n_per_class": 0}, "n_per_class", 0),
+        ({"n_classes": -2}, "n_classes", -2),
+        ({"block": 0}, "block", 0),
+        ({"n_per_class": 5, "n_classes": 0, "block": 0}, "n_classes", 0),  # first bad one
+    ])
+    def test_count_below_one_names_field_and_value(self, counts, field, value):
+        counts = {"n_per_class": 5, **counts}
+        with pytest.raises(ConfigError,
+                           match=f"^toy_generate argument '{field}' must be >= 1, got {value}$"):
+            toy_generate(**counts, rng=rng())
+
 
 class TestOrderStream:
     def test_stable_sort(self):

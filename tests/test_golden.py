@@ -1,8 +1,10 @@
-"""Golden digests: seeded `ocdgr train` output must not move by a single byte.
+"""Golden digests: seeded `ocdgr train`, `evaluate` and `compare` output must not move by a byte.
 
 Six small runs cover the three trainers, on toy data (100 wide) and on 784-wide
-digit-like data, under exact and AIS log Z. Each writes model.rbm and metrics.csv,
-and their SHA-256 digests must equal the ones in tests/golden.json. The runs go in a
+digit-like data, under exact and AIS log Z. Each config is run through `ocdgr train`
+(model.rbm, metrics.csv), `ocdgr evaluate` on the trained model (evaluate.json) and
+`ocdgr compare` (compare.csv, digested without its wall_ms column), and the SHA-256
+digests must equal the ones in tests/golden.json. The runs go in a
 subprocess with one BLAS thread: the bytes depend on the numpy/BLAS build and on the
 BLAS thread count (README, "Determinism"), so golden.json records the build too.
 
@@ -14,6 +16,7 @@ and list the old and new digests in CHANGES.md.
 """
 
 import argparse
+import csv
 import ctypes
 import hashlib
 import json
@@ -90,12 +93,26 @@ def _train_all(workdir: Path) -> dict:
         np.savetxt(f"{stem}_labels.txt", batch.labels, fmt="%d")
     digests = {}
     for name in RUNS:
-        config = Path(f"{name}.json")
-        config.write_text(json.dumps(_config(name)))
-        if main(["train", "--config", str(config)]) != 0:
-            raise RuntimeError(f"ocdgr train failed on golden config {name}")
-        digests[name] = {f: hashlib.sha256(Path(f"out/{name}/{f}").read_bytes()).hexdigest()
-                         for f in ("model.rbm", "metrics.csv")}
+        cfg = _config(name)
+        config, out = Path(f"{name}.json"), Path(cfg["output_dir"])
+        config.write_text(json.dumps(cfg))
+        commands = (
+            ["train", "--config", str(config)],
+            ["evaluate", "--model", str(out / "model.rbm"), "--estimator", cfg["estimator"],
+             "--ais", json.dumps(cfg["ais"]), "--test-dataset", json.dumps(cfg["test_dataset"]),
+             "--out", str(out / "evaluate.json")],
+            ["compare", "--config", str(config), "--out", str(out / "compare.csv")],
+        )
+        for command in commands:
+            if main(command) != 0:
+                raise RuntimeError(f"ocdgr {command[0]} failed on golden config {name}")
+        digests[name] = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                         for f in ("model.rbm", "metrics.csv", "evaluate.json")}
+        with open(out / "compare.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        keep = [i for i, column in enumerate(rows[0]) if column != "wall_ms"]
+        timeless = [[row[i] for i in keep] for row in rows]
+        digests[name]["compare.csv"] = hashlib.sha256(json.dumps(timeless).encode()).hexdigest()
     return {"environment": _environment(), "digests": digests,
             "ocdgr_dir": os.path.dirname(ocdgr.__file__)}
 

@@ -25,6 +25,7 @@ from ocdgr import (
     ocdgr_update_procedure,
     order_stream,
     positive_statistics,
+    stream_states,
     stream_train,
     toy_generate,
 )
@@ -385,7 +386,8 @@ def per_row_stream_train(kind, stream, hyper, checkpoint_every, g, initial_param
                               state.live_scalar_count(memory), param_bytes(state.params)))
     if rows:
         state = update(state)
-    return param_bytes(state.params), snapshots
+    final = (state.t, 0 if memory is None else len(memory), state.live_scalar_count(memory))
+    return param_bytes(state.params), snapshots, final
 
 
 def param_bytes(p):
@@ -402,8 +404,26 @@ def test_stream_train_matches_per_row_reference(kind, n, batch_size, checkpoint_
     p0 = random_params(6, 3, seed=seed % 1000)
     params, snaps = stream_train(kind, stream, hyper, checkpoint_every, rng(seed),
                                  initial_params=p0)
-    want_params, want_snaps = per_row_stream_train(kind, stream, hyper, checkpoint_every,
-                                                   rng(seed), p0)
+    want_params, want_snaps, want_final = per_row_stream_train(kind, stream, hyper,
+                                                               checkpoint_every, rng(seed), p0)
     assert param_bytes(params) == want_params
     assert [(s.observed_count, s.t, s.memory_rows, s.live_scalar_count, param_bytes(s.params))
             for s in snaps] == want_snaps
+    for state, memory in stream_states(kind, stream, hyper, checkpoint_every, rng(seed), p0):
+        pass  # the last pair yielded is the final state
+    assert state.observed_count == n and param_bytes(state.params) == want_params
+    assert (state.t, len(memory or ()), state.live_scalar_count(memory)) == want_final
+
+
+@pytest.mark.parametrize("kind", ["ocdgr", "er_ml", "er_im"])
+def test_empty_stream_returns_initial_params(kind):
+    hyper = Hyperparameters(n_v=6, n_h=3)
+    empty = BinaryBatch(np.empty((0, 6), dtype=np.uint8))
+    params, snaps = stream_train(kind, empty, hyper, 10, rng(48))
+    want = init_params(6, 3, hyper.init_std, rng(48))
+    assert param_bytes(params) == param_bytes(want) and snaps == []
+    p0 = random_params(6, 3, seed=49)
+    params, snaps = stream_train(kind, empty, hyper, 10, rng(50), initial_params=p0)
+    assert params is p0 and snaps == []
+    [(state, memory)] = stream_states(kind, empty, hyper, 10, rng(50), initial_params=p0)
+    assert state.params is p0 and (state.t, state.observed_count, len(memory or ())) == (1, 0, 0)
